@@ -225,7 +225,7 @@ EngineRow RunEngineCell(std::size_t jobs, bool cache, bool shared = false)
     // This sweep measures the *per-node* engine fan-out, so the rows
     // pin per-node decisions; the one shared = true row cross-checks
     // the shared decision engine's bit-identity against them.
-    options.shared_decisions = shared;
+    options.auto_config.shared_decisions = shared;
 
     EngineRow row;
     row.jobs = jobs;
@@ -393,7 +393,7 @@ sim::ExperimentResult RunDecisionCell(std::size_t nodes, bool shared)
     options.replication.jitter = 0.6;
     options.log_mode = sim::LogMode::kStreaming;
     options.cluster_jobs = 1;
-    options.shared_decisions = shared;
+    options.auto_config.shared_decisions = shared;
     apps::S3dApplication app(
         apps::S3dOptions{.machine = options.machine});
     return sim::RunExperiment(app, options);

@@ -11,8 +11,7 @@
  * drives TraceFinder::Observe on a mining-heavy configuration with
  * the per-job work discarded, isolating what the application thread
  * pays per token: with zero-copy snapshots that is O(slice/block)
- * reference bumps per job; with the copy_slices_at_launch ablation it
- * is the seed's O(slice) token copy. The result is recorded to
+ * reference bumps per job. The result is recorded to
  * BENCH_micro_repeats.json so successive PRs keep a perf trajectory.
  *
  * Usage:
@@ -116,7 +115,7 @@ BENCHMARK(BM_QuadraticBaseline)->RangeMultiplier(2)->Range(512, 4096);
 // Finder launch-path throughput (the zero-copy claim).
 
 /** Drops every job: the measurement sees only the application-thread
- * half of a launch (history append, snapshot or slice copy). */
+ * half of a launch (history append and snapshot). */
 class DiscardExecutor final : public support::Executor {
   public:
     using Executor::Submit;
@@ -141,14 +140,12 @@ struct LaunchPathResult {
     std::uint64_t tokens_analyzed = 0;
 };
 
-LaunchPathResult MeasureLaunchPath(bool copy_slices, std::size_t tokens,
-                                   int reps)
+LaunchPathResult MeasureLaunchPath(std::size_t tokens, int reps)
 {
     const strings::Sequence stream = AppLikeStream(tokens);
     LaunchPathResult best;
     for (int rep = 0; rep < reps; ++rep) {
-        core::ApopheniaConfig config = MiningHeavyConfig();
-        config.copy_slices_at_launch = copy_slices;
+        const core::ApopheniaConfig config = MiningHeavyConfig();
         DiscardExecutor executor;
         core::TraceFinder finder(config, executor);
         const auto start = std::chrono::steady_clock::now();
@@ -679,23 +676,13 @@ int RunLaunchPathRecord(const std::string& json_path)
 {
     constexpr std::size_t kTokens = 1u << 19;
     constexpr int kReps = 5;
-    const LaunchPathResult snapshot =
-        MeasureLaunchPath(/*copy_slices=*/false, kTokens, kReps);
-    const LaunchPathResult copy =
-        MeasureLaunchPath(/*copy_slices=*/true, kTokens, kReps);
-    const double improvement =
-        copy.tokens_per_sec > 0.0
-            ? snapshot.tokens_per_sec / copy.tokens_per_sec
-            : 0.0;
+    const LaunchPathResult snapshot = MeasureLaunchPath(kTokens, kReps);
 
     std::printf("# finder launch path (mining-heavy: batchsize 4096, "
                 "scale 32, %zu tokens)\n",
                 kTokens);
     std::printf("%-22s %14.0f tokens/sec\n", "zero-copy snapshots",
                 snapshot.tokens_per_sec);
-    std::printf("%-22s %14.0f tokens/sec\n", "copy-at-launch (seed)",
-                copy.tokens_per_sec);
-    std::printf("%-22s %14.2fx\n", "improvement", improvement);
     std::printf("%-22s %14llu jobs, %llu tokens analyzed\n", "workload",
                 static_cast<unsigned long long>(snapshot.jobs_launched),
                 static_cast<unsigned long long>(snapshot.tokens_analyzed));
@@ -733,8 +720,6 @@ int RunLaunchPathRecord(const std::string& json_path)
         " \"min_trace_length\": 8, \"tokens\": %zu},\n"
         "  %s,\n"
         "  \"snapshot_tokens_per_sec\": %.0f,\n"
-        "  \"copy_at_launch_tokens_per_sec\": %.0f,\n"
-        "  \"improvement\": %.3f,\n"
         "  \"jobs_launched\": %llu,\n"
         "  \"tokens_analyzed\": %llu,\n"
         "  \"issue_path\": {\n"
@@ -767,7 +752,7 @@ int RunLaunchPathRecord(const std::string& json_path)
         "  }%s\n"
         "}\n",
         kTokens, apo::bench::ConcurrencyJson().c_str(),
-        snapshot.tokens_per_sec, copy.tokens_per_sec, improvement,
+        snapshot.tokens_per_sec,
         static_cast<unsigned long long>(snapshot.jobs_launched),
         static_cast<unsigned long long>(snapshot.tokens_analyzed),
         issue.builder.launches_per_sec,

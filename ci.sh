@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 build + tests, an ASan+UBSan pass of the whole
-# suite, a TSan pass of the threaded/stacked suites, and the perf records
+# CI entry point: tier-1 build + tests, the apobench/ benchmark package
+# build + tests, an ASan+UBSan pass of the whole suite, a TSan pass of
+# the threaded/stacked suites, and the perf records
 # (BENCH_micro_repeats.json, committed so successive PRs keep a
 # tokens/sec + scaling trajectory).
 set -euo pipefail
@@ -12,6 +13,13 @@ echo "== tier-1: build + ctest (warnings are errors) =="
 cmake -B build -S . -DAPO_WERROR=ON >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+
+echo "== benchmark package: apobench build + ctest =="
+# apobench/ compiles ../src through the library's public API, so an API
+# change that breaks the benchmark fails here rather than at bench time.
+cmake -S apobench -B build-apobench >/dev/null
+cmake --build build-apobench -j "$JOBS"
+ctest --test-dir build-apobench --output-on-failure -j "$JOBS"
 
 echo "== sanitizers: ASan + UBSan build + ctest =="
 cmake -B build-asan -S . -DAPO_SANITIZE=ON -DAPO_WERROR=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null

@@ -19,7 +19,7 @@
  * paper's appendix A.7 is honored.
  */
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -52,30 +52,35 @@ main(int argc, char** argv)
     core::ApopheniaConfig config;
     try {
         config = core::ParseApopheniaFlags(args);
+        for (std::size_t i = 0; i < args.size(); ++i) {
+            const std::string& flag = args[i];
+            auto value = [&]() -> const std::string& {
+                if (i + 1 >= args.size()) {
+                    throw std::invalid_argument(flag + " expects a value");
+                }
+                return args[++i];
+            };
+            if (flag == "--warmup") {
+                warmup = core::ParseFlagCount(flag, value());
+            } else if (flag == "-ll:gpu") {
+                gpus_per_node = core::ParseFlagCount(flag, value());
+            } else if (flag == "-N" || flag == "--nodes") {
+                nodes = core::ParseFlagCount(flag, value());
+            } else if (flag == "-ll:util" || flag == "-ll:csize" ||
+                       flag == "-ll:fsize" || flag == "-ll:zsize") {
+                (void)value();  // accepted for artifact compatibility
+            } else {
+                std::fprintf(stderr, "unknown argument: %s\n",
+                             flag.c_str());
+                return 2;
+            }
+        }
+        if (gpus_per_node == 0 || nodes == 0) {
+            throw std::invalid_argument("-ll:gpu and -N must be positive");
+        }
     } catch (const std::exception& e) {
         std::fprintf(stderr, "flag error: %s\n", e.what());
         return 2;
-    }
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        auto value = [&]() {
-            return i + 1 < args.size()
-                       ? static_cast<std::size_t>(
-                             std::atoi(args[++i].c_str()))
-                       : 0;
-        };
-        if (args[i] == "--warmup") {
-            warmup = value();
-        } else if (args[i] == "-ll:gpu") {
-            gpus_per_node = value();
-        } else if (args[i] == "-N" || args[i] == "--nodes") {
-            nodes = value();
-        } else if (args[i] == "-ll:util" || args[i] == "-ll:csize" ||
-                   args[i] == "-ll:fsize" || args[i] == "-ll:zsize") {
-            (void)value();  // accepted for artifact compatibility
-        } else {
-            std::fprintf(stderr, "unknown argument: %s\n", args[i].c_str());
-            return 2;
-        }
     }
 
     apps::FlexFlowOptions app_options;

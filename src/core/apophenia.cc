@@ -54,7 +54,7 @@ Apophenia::DoExecuteTask(const rt::TaskLaunchView& launch)
     finder_.Observe(mining_token, counter_);
     IngestReadyJobs();
     AdvancePointers(mining_token);
-    if (active_.empty() && held_.empty() && !config_.buffer_all_launches) {
+    if (active_.empty() && held_.empty()) {
         // Fast path: no still-growing match and no queued replay can
         // cover this launch, so it is forwarded straight off the
         // caller's arena — no materialization, no allocation. Any

@@ -4,27 +4,23 @@
 
 namespace apo::core {
 
-namespace {
-
 std::size_t
-ParseCount(const std::string& flag, const std::string& value)
+ParseFlagCount(const std::string& flag, const std::string& value)
 {
-    std::size_t pos = 0;
-    unsigned long long parsed = 0;
+    // Digits only: std::stoull alone would also take a sign ("-1"
+    // wraps to 2^64 - 1) and leading whitespace.
+    const std::invalid_argument malformed(
+        flag + " expects a number, got '" + value + "'");
+    if (value.empty() ||
+        value.find_first_not_of("0123456789") != std::string::npos) {
+        throw malformed;
+    }
     try {
-        parsed = std::stoull(value, &pos);
-    } catch (const std::exception&) {
-        throw std::invalid_argument(flag + " expects a number, got '" +
-                                    value + "'");
+        return static_cast<std::size_t>(std::stoull(value));
+    } catch (const std::out_of_range&) {
+        throw malformed;
     }
-    if (pos != value.size()) {
-        throw std::invalid_argument(flag + " expects a number, got '" +
-                                    value + "'");
-    }
-    return static_cast<std::size_t>(parsed);
 }
-
-}  // namespace
 
 ApopheniaConfig
 ParseApopheniaFlags(std::vector<std::string>& args)
@@ -46,13 +42,13 @@ ParseApopheniaFlags(std::vector<std::string>& args)
         if (a == "-lg:enable_automatic_tracing") {
             config.enabled = true;
         } else if (a == "-lg:auto_trace:min_trace_length") {
-            config.min_trace_length = ParseCount(a, value_of(i, a));
+            config.min_trace_length = ParseFlagCount(a, value_of(i, a));
         } else if (a == "-lg:auto_trace:max_trace_length") {
-            config.max_trace_length = ParseCount(a, value_of(i, a));
+            config.max_trace_length = ParseFlagCount(a, value_of(i, a));
         } else if (a == "-lg:auto_trace:batchsize") {
-            config.batchsize = ParseCount(a, value_of(i, a));
+            config.batchsize = ParseFlagCount(a, value_of(i, a));
         } else if (a == "-lg:auto_trace:multi_scale_factor") {
-            config.multi_scale_factor = ParseCount(a, value_of(i, a));
+            config.multi_scale_factor = ParseFlagCount(a, value_of(i, a));
         } else if (a == "-lg:auto_trace:identifier_algorithm") {
             const std::string v = value_of(i, a);
             if (v == "multi-scale") {
@@ -76,23 +72,15 @@ ParseApopheniaFlags(std::vector<std::string>& args)
                     a + ": unknown ingest mode '" + v + "'");
             }
         } else if (a == "-lg:auto_trace:history_block_size") {
-            config.history_block_size = ParseCount(a, value_of(i, a));
-        } else if (a == "-lg:auto_trace:copy_slices_at_launch") {
-            config.copy_slices_at_launch = true;
-        } else if (a == "-lg:auto_trace:buffer_all_launches") {
-            config.buffer_all_launches = true;
+            config.history_block_size = ParseFlagCount(a, value_of(i, a));
         } else if (a == "-lg:auto_trace:no_incremental_mining") {
             config.incremental_mining = false;
         } else if (a == "-lg:auto_trace:no_shared_decisions") {
             config.shared_decisions = false;
-        } else if (a == "-lg:auto_trace:no_checkpoints") {
-            config.checkpoints = false;
-        } else if (a == "-lg:auto_trace:no_overload_control") {
-            config.overload_control = false;
         } else if (a == "-lg:auto_trace:incremental_ring_windows") {
-            config.incremental_ring_windows = ParseCount(a, value_of(i, a));
+            config.incremental_ring_windows = ParseFlagCount(a, value_of(i, a));
         } else if (a == "-lg:window") {
-            config.window = ParseCount(a, value_of(i, a));
+            config.window = ParseFlagCount(a, value_of(i, a));
         } else if (a == "-lg:inline_transitive_reduction") {
             config.inline_transitive_reduction = true;
         } else if (a == "-lg:auto_trace:repeats_algorithm") {

@@ -15,11 +15,12 @@
  *
  *   -lg:auto_trace:ingest_mode <on-completion|eager-drain|manual>
  *   -lg:auto_trace:history_block_size <N>
- *   -lg:auto_trace:copy_slices_at_launch
- *   -lg:auto_trace:buffer_all_launches
+ *   -lg:auto_trace:no_incremental_mining
+ *   -lg:auto_trace:incremental_ring_windows <N>
  *   -lg:auto_trace:no_shared_decisions
- *   -lg:auto_trace:no_checkpoints
- *   -lg:auto_trace:no_overload_control
+ *
+ * Every <N> is a plain decimal count: digits only, no sign, no
+ * padding.
  *
  * The paper's experiments all run with one configuration (batchsize
  * 5000, multi-scale factor 250/500, min length 25); only FlexFlow
@@ -57,7 +58,8 @@ enum class IngestMode {
     /** Drain the executor whenever jobs are pending and ingest
      * everything, at every token. Deterministic under *any* executor:
      * ingestion positions equal InlineExecutor's. Used to cross-check
-     * pooled runs against inline runs. */
+     * pooled runs against inline runs. Oracle: fuzz_differential_test's
+     * PooledEagerDrainMatchesInlineDecisions. */
     kEagerDrain,
     /** Ingest only via Apophenia::IngestOldestJob(); the replicated
      * front-end uses this to align ingestion positions across nodes
@@ -107,24 +109,14 @@ struct ApopheniaConfig {
      * O(slice / block size) on the application thread. */
     std::size_t history_block_size = 512;
 
-    /** Ablation/benchmark switch: materialize each job's slice on the
-     * application thread at launch (the pre-zero-copy behaviour)
-     * instead of handing the worker a block snapshot. */
-    bool copy_slices_at_launch = false;
-
-    /** Ablation/benchmark switch: stage *every* launch through the
-     * pending buffer (the pre-launch-view behaviour — one requirement
-     * vector copy per launch) instead of forwarding unmatched
-     * launches straight off the caller's arena. */
-    bool buffer_all_launches = false;
-
     /** Steady-state incremental mining: probe a per-finder ring of
      * recently mined windows ahead of the shared cache (a verified
      * hit skips mining, hashing and materialization entirely) and
      * reuse suffix structures across windows
      * (strings/incremental.h). Behaviour-invariant: candidate sets
      * are bit-identical on or off
-     * (-lg:auto_trace:no_incremental_mining disables). */
+     * (-lg:auto_trace:no_incremental_mining disables). Oracle:
+     * fuzz_differential_test's IncrementalMiningOnVsOffIsBitIdentical. */
     bool incremental_mining = true;
 
     /** Entries of the rolling fast-path ring — how many distinct
@@ -150,24 +142,9 @@ struct ApopheniaConfig {
      * local engine. Behaviour-invariant on byte-identical streams:
      * issued streams, digests, and coordination stats are
      * bit-identical to per-node engines
-     * (-lg:auto_trace:no_shared_decisions disables). */
+     * (-lg:auto_trace:no_shared_decisions disables; the only switch).
+     * Oracle: core_decision_test's SharedDecisionMatrix. */
     bool shared_decisions = true;
-
-    /** Fault tolerance: allow periodic cluster checkpoints (fault::)
-     * when a checkpoint interval is configured. The escape hatch
-     * `-lg:auto_trace:no_checkpoints` turns all checkpointing off —
-     * rejoining nodes then resync by replaying the full retained
-     * decision tail from stream start. */
-    bool checkpoints = true;
-
-    /** Overload robustness: allow the serving layer (svc::) to shed
-     * arrivals past a tenant's admission bound, degrade a backlogged
-     * tenant to untraced issue, evict caches under memory pressure and
-     * abandon stuck analysis jobs. The escape hatch
-     * `-lg:auto_trace:no_overload_control` turns every overload
-     * action off — tenants then always block (closed-loop
-     * backpressure), the pre-overload-control behaviour. */
-    bool overload_control = true;
 
     // -- Trace selection scoring (paper section 4.3) ----------------------
 
@@ -220,6 +197,10 @@ struct ApopheniaConfig {
  * malformed values.
  */
 ApopheniaConfig ParseApopheniaFlags(std::vector<std::string>& args);
+
+/** Parse the <N> value of a count flag: digits only (no sign, no
+ * padding), in range. Throws std::invalid_argument naming `flag`. */
+std::size_t ParseFlagCount(const std::string& flag, const std::string& value);
 
 }  // namespace apo::core
 

@@ -222,29 +222,20 @@ TraceFinder::LaunchAnalysis(std::size_t slice_length, std::uint64_t now)
 
     // Zero-copy hand-off: the job references the history blocks; the
     // worker materializes them off the application's critical path.
-    // The copy_slices_at_launch ablation restores the seed behaviour
-    // of copying the O(slice) tokens here, on the application thread.
     history_.SnapshotLastN(slice_length, job->snapshot);
-    if (config_->copy_slices_at_launch) {
-        job->snapshot.CopyTo(job->slice);
-        job->snapshot.Clear();
-    }
 
     const ApopheniaConfig* config = config_;
     MiningCache* cache = mining_cache_;
     SteadyStateMiner* steady = steady_.get();
     executor_->Submit(
         [job, config, cache, steady] {
-            const bool zero_copy = !job->snapshot.Empty();
             // Rolling fast path, ahead of the shared cache: a
             // verified hit adopts this finder's own recent result with
             // no cache hash probe, no block-span compare against cache
             // entries, and no slice materialization.
             if (steady != nullptr) {
                 std::shared_ptr<const std::vector<CandidateTrace>> hit =
-                    zero_copy ? steady->Probe(job->snapshot)
-                              : steady->Probe(std::span<const rt::TokenHash>(
-                                    job->slice));
+                    steady->Probe(job->snapshot);
                 if (hit != nullptr) {
                     job->adopted = std::move(hit);
                     job->mining_path = MiningPath::kFastPath;
@@ -296,9 +287,7 @@ TraceFinder::LaunchAnalysis(std::size_t slice_length, std::uint64_t now)
                 job->adopted = std::move(salted);
             };
             if (cache == nullptr) {
-                if (zero_copy) {
-                    job->snapshot.CopyTo(job->slice);
-                }
+                job->snapshot.CopyTo(job->slice);
                 mine();
                 return;
             }
@@ -309,17 +298,10 @@ TraceFinder::LaunchAnalysis(std::size_t slice_length, std::uint64_t now)
             // with a nonzero token namespace (a service tenant)
             // de-namespaces its probes and re-keys adopted results —
             // identical kernels dedup across tenants.
-            MiningCache::Key key;
-            MiningCache::Claim claim;
-            if (zero_copy) {
-                key = MiningCache::KeyOf(job->snapshot, ns);
-                claim = cache->AcquireOrBegin(key, job->snapshot, ns);
-            } else {
-                key = MiningCache::KeyOf(
-                    std::span<const rt::TokenHash>(job->slice), ns);
-                claim = cache->AcquireOrBegin(
-                    key, std::span<const rt::TokenHash>(job->slice), ns);
-            }
+            const MiningCache::Key key =
+                MiningCache::KeyOf(job->snapshot, ns);
+            MiningCache::Claim claim =
+                cache->AcquireOrBegin(key, job->snapshot, ns);
             if (claim.results != nullptr) {
                 job->cache_hit = true;
                 job->cache_cross = claim.owner != ns;
@@ -332,20 +314,12 @@ TraceFinder::LaunchAnalysis(std::size_t slice_length, std::uint64_t now)
                 // Seed the ring with the adopted result so the next
                 // identical window takes the fast path outright.
                 if (steady != nullptr) {
-                    if (zero_copy) {
-                        steady->Memoize(job->snapshot, adopted);
-                    } else {
-                        steady->Memoize(
-                            std::span<const rt::TokenHash>(job->slice),
-                            adopted);
-                    }
+                    steady->Memoize(job->snapshot, adopted);
                 }
                 job->adopted = std::move(adopted);
                 return;
             }
-            if (zero_copy) {
-                job->snapshot.CopyTo(job->slice);
-            }
+            job->snapshot.CopyTo(job->slice);
             if (!claim.miner) {
                 // Verified key collision: a different window owns the
                 // entry. Mine locally; publish nothing.

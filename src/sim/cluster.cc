@@ -86,8 +86,7 @@ Cluster::Cluster(const ClusterOptions& options)
     // The shared decision engine replaces the per-node engines when
     // there is more than one node to share across and tracing is on
     // (a disabled front-end is a pass-through either way).
-    const bool shared = options_.shared_decisions &&
-                        options_.config.shared_decisions &&
+    const bool shared = options_.config.shared_decisions &&
                         options_.config.enabled && n_nodes > 1;
     // Fault tolerance rides on the shared engine: the decision tail a
     // rejoiner replays IS the broadcast log.
@@ -112,9 +111,6 @@ Cluster::Cluster(const ClusterOptions& options)
     resync_enabled_ = shared && (!options_.fault_plan.events.empty() ||
                                  options_.fault.enabled ||
                                  options_.checkpoint_interval_tasks > 0);
-    checkpoints_enabled_ = shared &&
-                           options_.checkpoint_interval_tasks > 0 &&
-                           options_.config.checkpoints;
     if (shared) {
         engine_ = std::make_unique<core::DecisionEngine>(
             options_.config, options_.runtime_options,
@@ -254,7 +250,9 @@ Cluster::ProcessBatch()
             engine_->Retire();
         }
         batch_count_ = 0;
-        if (checkpoints_enabled_ &&
+        // A nonzero interval implies the shared engine (checked at
+        // construction).
+        if (options_.checkpoint_interval_tasks > 0 &&
             tasks_issued_ - checkpoint_task_ >=
                 options_.checkpoint_interval_tasks) {
             TakeCheckpoint();

@@ -70,7 +70,7 @@
  *
  * **Shared decision engine.** The mining cache still left trie
  * matching, candidate ingestion and replay decisions paid N times on
- * byte-identical streams. With `ClusterOptions::shared_decisions`
+ * byte-identical streams. With `ApopheniaConfig::shared_decisions`
  * (default on; `-lg:auto_trace:no_shared_decisions` or per-node-mode
  * tests disable), the cluster hosts no per-node Apophenia at all:
  * one `core::DecisionEngine` consumes the issued stream exactly once
@@ -267,20 +267,14 @@ struct ClusterOptions {
     std::size_t max_batch_tasks = 256;
     /** Share one content-addressed mining cache across the nodes so
      * identical history windows are mined once cluster-wide (see
-     * core/mining_cache.h). Behaviour-invariant; wall-clock only. */
+     * core/mining_cache.h). Behaviour-invariant; wall-clock only.
+     * Oracle: sim_cluster_test's SharedCacheIsBehaviourInvariant. */
     bool share_mining_cache = true;
     /** Published windows the cache retains (evicted in
      * core::MiningCache::kEvictionPolicy order beyond it; 0 =
      * unbounded). Bounds cache memory on unbounded streams — an
      * evicted window that recurs is simply re-mined. */
     std::size_t mining_cache_windows = 1024;
-    /** Use the shared decision engine (see file comment): one decider
-     * consumes the stream once and the nodes apply its broadcast
-     * decisions, with per-barrier digest checks. Active only when
-     * tracing is enabled, config.shared_decisions is true, and the
-     * cluster has more than one node; otherwise (or when false) every
-     * node hosts its own Apophenia. Bit-identical either way. */
-    bool shared_decisions = true;
     /** Mining memo for the decider's finder in place of (or, in
      * per-node mode, instead of) the cluster-internal cache — the
      * service layer passes its service-wide cross-tenant cache here.
@@ -329,9 +323,7 @@ struct ClusterOptions {
      * image + stream digest, via fault::CheckpointWriter) every this
      * many issued tasks; 0 = never. Rejoining nodes install the
      * newest image; the decision tail retained since it covers the
-     * rest. Requires the shared decision engine. Disabled cluster-
-     * wide by ApopheniaConfig::checkpoints == false (the
-     * `-lg:auto_trace:no_checkpoints` escape hatch) — rejoiners then
+     * rest. Requires the shared decision engine. With 0, rejoiners
      * replay the full decision tail from stream start. */
     std::uint64_t checkpoint_interval_tasks = 0;
 
@@ -394,7 +386,7 @@ class Cluster final : public api::Frontend {
         if (nodes_[i]->front_end == nullptr) {
             throw rt::RuntimeUsageError(
                 "Cluster::Node: shared-decision mode hosts no per-node "
-                "engine (see ClusterOptions::shared_decisions; use "
+                "engine (see ApopheniaConfig::shared_decisions; use "
                 "Decider())");
         }
         return *nodes_[i]->front_end;
@@ -425,7 +417,7 @@ class Cluster final : public api::Frontend {
         if (engine_ == nullptr) {
             throw rt::RuntimeUsageError(
                 "Cluster::Decider: per-node mode has no shared decision "
-                "engine (see ClusterOptions::shared_decisions)");
+                "engine (see ApopheniaConfig::shared_decisions)");
         }
         return engine_->Decider();
     }
@@ -673,9 +665,6 @@ class Cluster final : public api::Frontend {
     /** True when the run retains the decision tail (a fault plan,
      * fault injection, or checkpointing is configured). */
     bool resync_enabled_ = false;
-    /** True when periodic checkpoints are armed (interval set and not
-     * escaped via ApopheniaConfig::checkpoints). */
-    bool checkpoints_enabled_ = false;
     std::vector<ReplayEvent> tail_;  ///< decisions since the checkpoint
     std::vector<std::uint8_t> checkpoint_image_;
     std::uint64_t checkpoint_task_ = 0;  ///< stream position of the image

@@ -71,7 +71,6 @@ BuildFrontend(const ExperimentOptions& options, bool streaming)
         cluster_options.stream_logs = streaming;
         cluster_options.jobs = options.cluster_jobs;
         cluster_options.share_mining_cache = options.share_mining_cache;
-        cluster_options.shared_decisions = options.shared_decisions;
         stack.cluster = std::make_unique<Cluster>(cluster_options);
         stack.front = stack.cluster.get();
         return stack;

@@ -51,7 +51,8 @@ enum class ExecutorMode {
      * configuration. Replay decisions may differ from kInline when
      * auto_config.ingest_mode is kOnCompletion (completion timing
      * moves ingestion positions); with kEagerDrain they are identical
-     * and the two configurations cross-check each other. */
+     * and the two configurations cross-check each other. Oracle:
+     * sim_test's PooledEagerDrainMatchesInlineExperiment. */
     kPooled,
 };
 
@@ -115,13 +116,9 @@ struct ExperimentOptions {
     std::size_t cluster_jobs = 0;
     /** Share one content-addressed mining cache across the cluster's
      * nodes (behaviour-invariant dedup of the replicated mining work;
-     * see core/mining_cache.h). */
+     * see core/mining_cache.h). Oracle: sim_cluster_test's
+     * SharedCacheIsBehaviourInvariant. */
     bool share_mining_cache = true;
-    /** Replicated kAuto runs: one shared decision engine drives every
-     * node instead of per-node engines (ClusterOptions::
-     * shared_decisions; bit-identical either way — see
-     * core/decision_engine.h). */
-    bool shared_decisions = true;
     /** Record the figure-10 coverage series (costs memory). */
     bool keep_coverage_series = false;
     std::size_t coverage_window = 5000;

@@ -4,8 +4,7 @@
 
 namespace apo::support {
 
-WorkerPool::WorkerPool(std::size_t num_threads, std::size_t max_queue)
-    : max_queue_(max_queue)
+PooledExecutor::PooledExecutor(std::size_t num_threads)
 {
     if (num_threads == 0) {
         num_threads = 1;
@@ -16,99 +15,19 @@ WorkerPool::WorkerPool(std::size_t num_threads, std::size_t max_queue)
     }
 }
 
-WorkerPool::~WorkerPool()
-{
-    {
-        std::unique_lock lock(mutex_);
-        shutting_down_ = true;
-        work_available_.notify_all();
-        // Release backpressured submitters, then wait until they have
-        // left Submit: the mutex and condition variables must not be
-        // destroyed under a thread still blocked on them.
-        space_available_.notify_all();
-        space_available_.wait(lock,
-                              [this] { return waiting_submitters_ == 0; });
-    }
-    for (auto& t : threads_) {
-        t.join();
-    }
-}
-
-void
-WorkerPool::Submit(std::function<void()> job)
-{
-    {
-        std::unique_lock lock(mutex_);
-        if (max_queue_ != 0) {
-            ++waiting_submitters_;
-            space_available_.wait(lock, [this] {
-                return shutting_down_ || queue_.size() < max_queue_;
-            });
-            --waiting_submitters_;
-            idle_.notify_all();  // Drain also waits on submitters
-            if (shutting_down_) {
-                // Unblock the destructor, and run the job here: the
-                // workers may already have observed an empty queue and
-                // exited, so enqueueing could silently drop it.
-                space_available_.notify_all();
-                lock.unlock();
-                job();
-                return;
-            }
-        }
-        queue_.push_back(std::move(job));
-    }
-    work_available_.notify_one();
-}
-
-void
-WorkerPool::Drain()
-{
-    std::unique_lock lock(mutex_);
-    // A backpressure-blocked submitter counts as submitted work: its
-    // job must run before Drain may return.
-    idle_.wait(lock, [this] {
-        return queue_.empty() && in_flight_ == 0 &&
-               waiting_submitters_ == 0;
-    });
-}
-
-void
-WorkerPool::WorkerLoop()
-{
-    for (;;) {
-        std::function<void()> job;
-        {
-            std::unique_lock lock(mutex_);
-            work_available_.wait(
-                lock, [this] { return shutting_down_ || !queue_.empty(); });
-            if (queue_.empty()) {
-                return;  // shutting down and no work left
-            }
-            job = std::move(queue_.front());
-            queue_.pop_front();
-            ++in_flight_;
-        }
-        space_available_.notify_one();
-        job();
-        {
-            std::lock_guard lock(mutex_);
-            --in_flight_;
-        }
-        idle_.notify_all();
-    }
-}
-
-PooledExecutor::PooledExecutor(std::size_t num_threads, std::size_t max_queue)
-    : pool_(num_threads, max_queue)
-{
-}
-
 PooledExecutor::~PooledExecutor()
 {
     // Jobs may still be running; wait for them and deliver the
     // remaining callbacks so no completion is silently dropped.
     Drain();
+    {
+        std::lock_guard lock(mutex_);
+        shutting_down_ = true;
+    }
+    work_available_.notify_all();
+    for (auto& t : threads_) {
+        t.join();
+    }
 }
 
 void
@@ -121,20 +40,41 @@ void
 PooledExecutor::Submit(std::function<void()> job,
                        std::function<void()> on_complete)
 {
-    Ticket* ticket = nullptr;
     {
         std::lock_guard lock(mutex_);
-        tickets_.push_back(Ticket{std::move(on_complete), false});
-        // Stable address: tickets are popped only by the owner thread,
-        // and a ticket is popped only after the worker marked it done
-        // (i.e., after the worker's last access).
-        ticket = &tickets_.back();
+        tickets_.push_back(Ticket{std::move(job), std::move(on_complete)});
+        queue_.push_back(&tickets_.back());
+        ++unfinished_;
     }
-    pool_.Submit([this, ticket, job = std::move(job)] {
+    work_available_.notify_one();
+}
+
+void
+PooledExecutor::WorkerLoop()
+{
+    for (;;) {
+        Ticket* ticket = nullptr;
+        std::function<void()> job;
+        {
+            std::unique_lock lock(mutex_);
+            work_available_.wait(
+                lock, [this] { return shutting_down_ || !queue_.empty(); });
+            if (queue_.empty()) {
+                return;  // shutting down and no work left
+            }
+            ticket = queue_.front();
+            queue_.pop_front();
+            job = std::move(ticket->job);
+        }
         job();
-        std::lock_guard lock(mutex_);
-        ticket->done = true;
-    });
+        job = nullptr;  // captures die before the owner can observe done
+        {
+            std::lock_guard lock(mutex_);
+            ticket->done = true;
+            --unfinished_;
+        }
+        idle_.notify_all();
+    }
 }
 
 std::vector<std::function<void()>>
@@ -160,7 +100,10 @@ PooledExecutor::Pump()
 void
 PooledExecutor::Drain()
 {
-    pool_.Drain();
+    {
+        std::unique_lock lock(mutex_);
+        idle_.wait(lock, [this] { return unfinished_ == 0; });
+    }
     Pump();
 }
 

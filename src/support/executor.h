@@ -7,14 +7,13 @@
  * section 4.3: "Asynchronous analysis of task histories is important to
  * avoid stalling the application"). In Legion these jobs run on the
  * runtime's background worker threads; here they run on a small worker
- * pool. An inline executor is provided for deterministic testing.
+ * pool (PooledExecutor). An inline executor is provided for
+ * deterministic testing.
  *
  * Completion is event-driven rather than polled: every job may carry a
  * completion callback. Where and when the callback runs is the
  * executor's defining property:
  *  - InlineExecutor: immediately after the job, on the calling thread.
- *  - WorkerPool: on the worker thread that ran the job (callers that
- *    share state with the callback must synchronize).
  *  - PooledExecutor: never concurrently — callbacks are buffered and
  *    delivered in submission order on the owner's thread, at Pump()
  *    and Drain() points. After Drain() returns, every submitted job's
@@ -80,70 +79,19 @@ class InlineExecutor final : public Executor {
 
 /**
  * A fixed-size pool of background worker threads consuming a FIFO job
- * queue. Models Legion's background worker threads that Apophenia's
- * history-mining jobs execute on (paper section 6.3).
- *
- * Submission is optionally bounded: with `max_queue > 0`, Submit()
- * blocks while `max_queue` jobs are already waiting, providing
- * backpressure so a producer outrunning the pool cannot hoard memory.
- * A submitter blocked when the pool shuts down is released and runs
- * its job on its own thread, so no accepted job is ever dropped.
- */
-class WorkerPool final : public Executor {
-  public:
-    explicit WorkerPool(std::size_t num_threads = 2,
-                        std::size_t max_queue = 0);
-    ~WorkerPool() override;
-
-    WorkerPool(const WorkerPool&) = delete;
-    WorkerPool& operator=(const WorkerPool&) = delete;
-
-    using Executor::Submit;
-    void Submit(std::function<void()> job) override;
-    void Drain() override;
-
-    std::size_t NumThreads() const { return threads_.size(); }
-    std::size_t MaxQueue() const { return max_queue_; }
-
-    /** Submitters currently blocked on backpressure (tests use this
-     * to synchronize with a Submit they expect to block). */
-    std::size_t BlockedSubmitters()
-    {
-        std::lock_guard lock(mutex_);
-        return waiting_submitters_;
-    }
-
-  private:
-    void WorkerLoop();
-
-    std::mutex mutex_;
-    std::condition_variable work_available_;
-    std::condition_variable idle_;
-    std::condition_variable space_available_;
-    std::deque<std::function<void()>> queue_;
-    std::size_t in_flight_ = 0;
-    std::size_t max_queue_ = 0;  ///< 0 = unbounded
-    /** Submitters blocked on backpressure; the destructor waits for
-     * them to leave before tearing down the synchronization state. */
-    std::size_t waiting_submitters_ = 0;
-    bool shutting_down_ = false;
-    std::vector<std::thread> threads_;
-};
-
-/**
- * A worker pool with deterministic completion delivery. Jobs execute
- * concurrently on an internal WorkerPool, but completion callbacks are
- * buffered and delivered on the owner's thread, always in submission
- * order: Pump() delivers callbacks for the longest prefix of submitted
- * jobs that have all finished; Drain() waits for everything and then
- * delivers every remaining callback. Because callbacks never run
- * concurrently with the owner, owner-side completion bookkeeping needs
- * no locking — this is what makes the pool usable outside tests.
+ * queue — Legion's background worker threads that Apophenia's
+ * history-mining jobs execute on (paper section 6.3) — with
+ * deterministic completion delivery. Jobs execute concurrently, but
+ * completion callbacks are buffered and delivered on the owner's
+ * thread, always in submission order: Pump() delivers callbacks for
+ * the longest prefix of submitted jobs that have all finished;
+ * Drain() waits for everything and then delivers every remaining
+ * callback. Because callbacks never run concurrently with the owner,
+ * owner-side completion bookkeeping needs no locking.
  */
 class PooledExecutor final : public Executor {
   public:
-    explicit PooledExecutor(std::size_t num_threads = 2,
-                            std::size_t max_queue = 0);
+    explicit PooledExecutor(std::size_t num_threads = 2);
     ~PooledExecutor() override;
 
     PooledExecutor(const PooledExecutor&) = delete;
@@ -161,21 +109,32 @@ class PooledExecutor final : public Executor {
      * submission order, on this thread). */
     void Drain() override;
 
-    std::size_t NumThreads() const { return pool_.NumThreads(); }
+    std::size_t NumThreads() const { return threads_.size(); }
 
   private:
-    /** One submitted job's completion record. */
+    /** One submitted job and its completion record. */
     struct Ticket {
+        std::function<void()> job;
         std::function<void()> on_complete;
         bool done = false;
     };
 
+    void WorkerLoop();
     /** Pop the longest done prefix under the lock; return callbacks. */
     std::vector<std::function<void()>> TakeReadyPrefix();
 
-    WorkerPool pool_;
     std::mutex mutex_;
+    std::condition_variable work_available_;
+    std::condition_variable idle_;
+    /** Every submitted ticket not yet delivered, in submission order.
+     * Addresses are stable: tickets are popped only by the owner
+     * thread, and only once a worker has marked them done (after the
+     * worker's last access). */
     std::deque<Ticket> tickets_;
+    std::deque<Ticket*> queue_;    ///< tickets no worker has started
+    std::size_t unfinished_ = 0;   ///< submitted jobs not yet done
+    bool shutting_down_ = false;
+    std::vector<std::thread> threads_;
 };
 
 /**
@@ -183,7 +142,7 @@ class PooledExecutor final : public Executor {
  * cluster simulation's per-node stepping: the *same* body runs over a
  * dense index range, many times, with a full barrier after each range.
  *
- * Unlike WorkerPool::Submit (one std::function allocation + queue node
+ * Unlike PooledExecutor::Submit (std::function allocations + queue nodes
  * per job), the body is installed once and each Run() merely republishes
  * an index range to the persistent workers — Run() itself performs no
  * allocation, so it can sit on a zero-allocation-per-launch issue path

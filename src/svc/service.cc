@@ -296,9 +296,10 @@ TraceService::AddTenant(TenantOptions tenant)
     api::Frontend* inner = nullptr;
     if (state->options.replicas > 1) {
         // Replicated tenant: N nodes behind one cluster, one shared
-        // per-tenant decision engine (under shared_decisions), and
-        // the *service-wide* mining cache as the cluster's backing
-        // store so cross-tenant dedup composes with replication.
+        // per-tenant decision engine (under config.shared_decisions),
+        // and the *service-wide* mining cache as the cluster's
+        // backing store so cross-tenant dedup composes with
+        // replication.
         // Cluster mining is always deterministic-inline — the
         // service-level executor applies to unreplicated tenants
         // only.
@@ -308,18 +309,15 @@ TraceService::AddTenant(TenantOptions tenant)
         cluster_options.config = config;
         cluster_options.config.enabled = true;
         cluster_options.runtime_options = runtime_options;
-        cluster_options.shared_decisions = options_.shared_decisions;
         cluster_options.checkpoint_interval_tasks =
             state->options.checkpoint_interval_tasks;
-        cluster_options.external_mining_cache =
-            options_.share_mining_cache ? cache_.get() : nullptr;
+        cluster_options.external_mining_cache = cache_.get();
         state->cluster = std::make_unique<sim::Cluster>(cluster_options);
         inner = state->cluster.get();
     } else {
         state->runtime = std::make_unique<rt::Runtime>(runtime_options);
         state->engine = std::make_unique<core::Apophenia>(
-            *state->runtime, config, options_.executor,
-            options_.share_mining_cache ? cache_.get() : nullptr);
+            *state->runtime, config, options_.executor, cache_.get());
         inner = state->engine.get();
         if (streaming) {
             // The harness's streaming wiring, per tenant: simulator,
@@ -607,10 +605,6 @@ TraceService::Run()
         tenant->arrival_base = clock;
     }
 
-    // The escape hatch turns every overload action off: every policy
-    // behaves like kBlock, no watchdog, no health monitor.
-    const bool overload_on = options_.config.overload_control;
-
     std::vector<std::size_t> ready;
     for (;;) {
         ready.clear();
@@ -618,9 +612,7 @@ TraceService::Run()
             std::numeric_limits<std::uint64_t>::max();
         for (std::size_t t = 0; t < tenants_.size(); ++t) {
             Tenant& tenant = *tenants_[t];
-            if (overload_on) {
-                ApplyOverloadControl(tenant, clock);
-            }
+            ApplyOverloadControl(tenant, clock);
             if (tenant.Finished()) {
                 continue;
             }
@@ -686,9 +678,7 @@ TraceService::Run()
             // harness's final Flush.
             tenant.session->Flush();
         }
-        if (overload_on) {
-            RunWatchdogAndHealth(clock);
-        }
+        RunWatchdogAndHealth(clock);
     }
     return AssembleResults(clock);
 }

@@ -30,7 +30,7 @@
  * (TenantOptions::replicas > 1): its stream then runs on N simulated
  * nodes behind one sim::Cluster, and one per-tenant shared
  * core::DecisionEngine makes every trace decision once for all of
- * the tenant's replicas (ServiceOptions::shared_decisions) — so a
+ * the tenant's replicas (ApopheniaConfig::shared_decisions) — so a
  * tenant pays mining/matching O(1) in its own width, while its
  * replicated stack still probes the service-wide mining cache for
  * cross-tenant dedup.
@@ -78,10 +78,8 @@ class ServiceUsageError : public rt::RuntimeUsageError {
  * granted open-loop iterations) exceeds TenantOptions::
  * max_queue_iterations. Tracing is an optimization, so under overload
  * the service can trade trace quality for liveness instead of
- * queueing without bound. Subject to the
- * `-lg:auto_trace:no_overload_control` escape hatch
- * (core::ApopheniaConfig::overload_control == false ⇒ every policy
- * behaves like kBlock and no health-monitor action fires).
+ * queueing without bound. kBlock is the no-overload-control
+ * behaviour: the tenant never sheds or degrades.
  */
 enum class OverloadPolicy : std::uint8_t {
     /** Closed-loop backpressure (the pre-overload behaviour): excess
@@ -118,7 +116,7 @@ struct TenantOptions {
     std::uint64_t arrival_gap = 0;
     /** Control replication within the tenant: >1 runs the tenant's
      * stream on this many simulated nodes behind one sim::Cluster,
-     * and (under ServiceOptions::shared_decisions) one shared
+     * and (under ApopheniaConfig::shared_decisions) one shared
      * decision engine drives all of the tenant's replicas — the
      * tenant pays mining/matching once no matter how wide it is. The
      * replicated stack still probes the service-wide mining cache
@@ -133,9 +131,8 @@ struct TenantOptions {
     std::optional<rt::TokenHash> name_space;
     /** Replicated tenants only: arm periodic cluster checkpoints of
      * the tenant's replication stack every this many issued tasks
-     * (sim::ClusterOptions::checkpoint_interval_tasks; 0 = never).
-     * Subject to the `-lg:auto_trace:no_checkpoints` escape hatch in
-     * ServiceOptions::config. */
+     * (sim::ClusterOptions::checkpoint_interval_tasks; 0 = never,
+     * and a rejoiner replays the full decision tail). */
     std::uint64_t checkpoint_interval_tasks = 0;
 
     // -- Overload control ---------------------------------------------------
@@ -273,17 +270,9 @@ struct ServiceOptions {
      * evictions surface in TenantStats::trace_cache_evictions. */
     std::size_t max_trace_templates = 0;
     rt::OperationLog::Config log_config;
-    /** Share one content-addressed MiningCache across all tenants'
-     * finders (the cross-tenant dedup substrate). Off = per-tenant
-     * mining, no sharing — the isolation baseline. */
-    bool share_mining_cache = true;
-    /** Retention bound of the shared cache (see MiningCache). */
+    /** Retention bound of the content-addressed MiningCache every
+     * tenant's finder shares (the cross-tenant dedup substrate). */
     std::size_t max_cache_windows = 1024;
-    /** Replicated tenants (TenantOptions::replicas > 1): drive every
-     * replica of a tenant from one shared per-tenant decision engine
-     * (sim::ClusterOptions::shared_decisions; bit-identical to
-     * per-replica engines either way). */
-    bool shared_decisions = true;
     /** Coordination tuning of replicated tenants (`nodes` comes from
      * TenantOptions::replicas). */
     sim::CoordinationOptions replication;
@@ -389,8 +378,7 @@ struct TenantStats {
 };
 
 /** Service-level health-monitor accounting of one run (all zero with
- * monitoring off — no watermark, no watchdog, or the
- * `-lg:auto_trace:no_overload_control` escape hatch). */
+ * monitoring off — no watermark and no watchdog). */
 struct HealthStats {
     /** Resident-byte samples taken (one per granted iteration). */
     std::uint64_t samples = 0;

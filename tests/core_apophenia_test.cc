@@ -337,13 +337,14 @@ TEST(Apophenia, StatsAreConsistent)
               s.tasks_forwarded_traced);
 }
 
-TEST(Apophenia, WorkerPoolExecutorProducesValidStream)
+TEST(Apophenia, PooledExecutorProducesValidStream)
 {
-    // With a real background pool the timing of candidate ingestion is
-    // nondeterministic, but the forwarded stream must always be the
-    // application's stream and the graph must match fresh analysis.
+    // With a real background pool and on-completion ingestion the
+    // timing of candidate ingestion is nondeterministic, but the
+    // forwarded stream must always be the application's stream and
+    // the graph must match fresh analysis.
     rt::Runtime runtime;
-    support::WorkerPool pool(2);
+    support::PooledExecutor pool(2);
     Apophenia fe(runtime, SmallConfig(), &pool);
     LoopApp app(fe, 10);
     for (int iter = 0; iter < 100; ++iter) {

@@ -114,5 +114,17 @@ TEST(Config, NumberWithTrailingGarbageRejected)
     EXPECT_THROW(ParseApopheniaFlags(args), std::invalid_argument);
 }
 
+TEST(Config, SignedPaddedOrOverflowingCountsRejected)
+{
+    // std::stoull alone would accept the first three: "-1" as
+    // 2^64 - 1, "+7" and " 7" as 7.
+    for (const char* value :
+         {"-1", "+7", " 7", "", "99999999999999999999999"}) {
+        auto args = Args({"-lg:auto_trace:batchsize", value});
+        EXPECT_THROW(ParseApopheniaFlags(args), std::invalid_argument)
+            << "value '" << value << "'";
+    }
+}
+
 }  // namespace
 }  // namespace apo::core

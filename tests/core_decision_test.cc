@@ -283,7 +283,7 @@ TEST(SharedDecisions, AccessorsEnforceTheMode)
     EXPECT_NO_THROW(shared.Decider());
 
     ClusterOptions per_node_options = SmallClusterOptions(2);
-    per_node_options.shared_decisions = false;
+    per_node_options.config.shared_decisions = false;
     Cluster per_node(per_node_options);
     EXPECT_FALSE(per_node.SharedDecisions());
     EXPECT_THROW(per_node.Decider(), rt::RuntimeUsageError);
@@ -320,7 +320,7 @@ TEST(SharedDecisions, BroadcastMatchesPerNodeOnADrivenCluster)
     // stats must match bit for bit.
     const auto run = [](bool shared) {
         ClusterOptions options = SmallClusterOptions(3);
-        options.shared_decisions = shared;
+        options.config.shared_decisions = shared;
         options.coordination.seed = 11;
         options.coordination.mean_latency_tasks = 120.0;
         options.coordination.jitter = 0.9;
@@ -448,7 +448,7 @@ void ExpectSharedMatchesPerNode(Options app_options,
 
         // Per-node baseline once (thread-count invariance of each
         // mode on its own is pinned by sim_cluster_test).
-        options.shared_decisions = false;
+        options.auto_config.shared_decisions = false;
         options.cluster_jobs = 1;
         App baseline_app(app_options);
         const ExperimentResult baseline =
@@ -459,7 +459,7 @@ void ExpectSharedMatchesPerNode(Options app_options,
 
         for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
             SCOPED_TRACE(jobs);
-            options.shared_decisions = true;
+            options.auto_config.shared_decisions = true;
             options.cluster_jobs = jobs;
             App app(app_options);
             const ExperimentResult shared = RunExperiment(app, options);

@@ -206,8 +206,7 @@ TEST(ElasticMembership, NoCheckpointsEscapeHatchFallsBackToFullTailReplay)
     const auto want = DigestsOf(reference);
 
     sim::ClusterOptions options = BaseOptions(3, false);
-    options.checkpoint_interval_tasks = 300;
-    options.config.checkpoints = false;  // -lg:auto_trace:no_checkpoints
+    options.checkpoint_interval_tasks = 0;  // checkpoints off
     options.fault_plan.events.push_back(
         {.node = 1, .crash_at_task = total / 3,
          .rejoin_at_task = 2 * total / 3});
@@ -311,7 +310,7 @@ TEST(ElasticMembership, FaultPlanValidation)
     {
         // Fault tolerance rides the shared decision engine's tail.
         sim::ClusterOptions options = BaseOptions(3, false);
-        options.shared_decisions = false;
+        options.config.shared_decisions = false;
         options.fault_plan.events.push_back(
             {.node = 1, .crash_at_task = 100, .rejoin_at_task = 200});
         EXPECT_THROW(sim::Cluster{options}, rt::RuntimeUsageError);

@@ -272,7 +272,7 @@ TEST(DifferentialFuzzPooled, OnCompletionIngestionIsStillSafe)
         config.multi_scale_factor = 50;
 
         rt::Runtime traced_rt;
-        support::WorkerPool pool(3);
+        support::PooledExecutor pool(3);
         {
             core::Apophenia fe(traced_rt, config, &pool);
             RandomProgram(seed).Run(fe);

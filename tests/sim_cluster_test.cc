@@ -181,7 +181,7 @@ TEST(StreamDigest, DetectsDeliberateDivergence)
     // shared-mode divergence path is core_decision_test's
     // fault-injection case.)
     ClusterOptions options = SmallClusterOptions(2);
-    options.shared_decisions = false;
+    options.config.shared_decisions = false;
     Cluster fe(options);
     DriveLoop(fe, 30, 6);
     ASSERT_TRUE(fe.StreamsIdentical());
@@ -599,7 +599,7 @@ TEST(MiningCache, NoSkewReplicatedRunsMineEachWindowOnce)
     // The per-window accounting below counts every node's own probes
     // — per-node engines (under shared decisions only the one decider
     // mines, which is the stronger dedup, tested elsewhere).
-    options.shared_decisions = false;
+    options.auto_config.shared_decisions = false;
     apps::S3dApplication app(
         apps::S3dOptions{.machine = options.machine});
     const ExperimentResult result = RunExperiment(app, options);
@@ -704,7 +704,7 @@ TEST(MiningCache, SharedCacheIsBehaviourInvariant)
         // Per-node engines: the cross-node adoption this test pins
         // (hits > 0 with the cache on) only exists when every node
         // mines for itself.
-        options.shared_decisions = false;
+        options.auto_config.shared_decisions = false;
         apps::S3dApplication app(
             apps::S3dOptions{.machine = options.machine});
         return RunExperiment(app, options);

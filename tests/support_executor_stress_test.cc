@@ -1,12 +1,12 @@
 /**
  * @file
- * Concurrency stress tests for WorkerPool and PooledExecutor,
- * TSan-friendly by construction: every assertion is on state that is
- * synchronized through the executors' own primitives (configure with
- * -DAPO_TSAN=ON to run the suite under ThreadSanitizer). Covers
- * concurrent Submit/Drain, bounded-queue backpressure, shutdown with
- * jobs still in flight, and the PooledExecutor's submission-order
- * completion delivery under adversarial completion timing.
+ * Concurrency stress tests for PooledExecutor, TSan-friendly by
+ * construction: every assertion is on state that is synchronized
+ * through the executor's own primitives (configure with -DAPO_TSAN=ON
+ * to run the suite under ThreadSanitizer). Covers concurrent
+ * Submit/Drain, shutdown with jobs still in flight, and
+ * submission-order completion delivery under adversarial completion
+ * timing.
  */
 #include <gtest/gtest.h>
 
@@ -21,9 +21,9 @@
 namespace apo::support {
 namespace {
 
-TEST(WorkerPoolStress, ConcurrentSubmittersAndDrainers)
+TEST(PooledExecutorStress, ConcurrentSubmittersAndDrainers)
 {
-    WorkerPool pool(4);
+    PooledExecutor pool(4);
     std::atomic<std::uint64_t> sum{0};
     std::vector<std::thread> submitters;
     constexpr int kThreads = 4;
@@ -45,12 +45,12 @@ TEST(WorkerPoolStress, ConcurrentSubmittersAndDrainers)
     EXPECT_EQ(sum.load(), kThreads * kJobsPerThread);
 }
 
-TEST(WorkerPoolStress, ShutdownWithJobsInFlightRunsEverything)
+TEST(PooledExecutorStress, ShutdownWithJobsInFlightRunsEverything)
 {
     std::atomic<int> ran{0};
     constexpr int kJobs = 64;
     {
-        WorkerPool pool(2);
+        PooledExecutor pool(2);
         for (int i = 0; i < kJobs; ++i) {
             pool.Submit([&ran] {
                 std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -60,69 +60,6 @@ TEST(WorkerPoolStress, ShutdownWithJobsInFlightRunsEverything)
         // Destructor runs with most jobs still queued or in flight.
     }
     EXPECT_EQ(ran.load(), kJobs);
-}
-
-TEST(WorkerPoolStress, BoundedQueueAppliesBackpressure)
-{
-    WorkerPool pool(1, /*max_queue=*/2);
-    std::atomic<int> ran{0};
-    std::atomic<bool> release{false};
-    pool.Submit([&] {
-        while (!release.load()) {
-            std::this_thread::yield();
-        }
-        ran.fetch_add(1);
-    });
-    // Fill the queue to its bound, then watch a further Submit block
-    // until the pool makes progress.
-    pool.Submit([&] { ran.fetch_add(1); });
-    pool.Submit([&] { ran.fetch_add(1); });
-    std::atomic<bool> fourth_submitted{false};
-    std::thread submitter([&] {
-        pool.Submit([&] { ran.fetch_add(1); });
-        fourth_submitted.store(true);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_FALSE(fourth_submitted.load());  // still blocked on space
-    release.store(true);
-    submitter.join();
-    pool.Drain();
-    EXPECT_EQ(ran.load(), 4);
-    EXPECT_TRUE(fourth_submitted.load());
-}
-
-TEST(WorkerPoolStress, ShutdownReleasesBackpressuredSubmitter)
-{
-    std::atomic<int> ran{0};
-    std::atomic<bool> release{false};
-    std::atomic<bool> submitter_entered{false};
-    std::thread submitter;
-    {
-        WorkerPool pool(1, /*max_queue=*/1);
-        pool.Submit([&] {
-            while (!release.load()) {
-                std::this_thread::yield();
-            }
-            ran.fetch_add(1);
-        });
-        pool.Submit([&] { ran.fetch_add(1); });  // fills the queue
-        submitter = std::thread([&] {
-            submitter_entered.store(true);
-            pool.Submit([&] { ran.fetch_add(1); });  // blocks on space
-        });
-        // Wait until the submitter is provably blocked inside Submit,
-        // so the destructor below genuinely races a blocked thread and
-        // never a not-yet-entered call on a dead pool.
-        while (!submitter_entered.load() ||
-               pool.BlockedSubmitters() == 0) {
-            std::this_thread::yield();
-        }
-        release.store(true);
-        // The destructor races the still-blocked submitter: it must
-        // release it and survive it, and the job must still run.
-    }
-    submitter.join();
-    EXPECT_EQ(ran.load(), 3);
 }
 
 TEST(PooledExecutorStress, CompletionsDeliverInSubmissionOrder)

@@ -155,18 +155,18 @@ TEST(Executor, InlineExecutorRunsCompletionAfterJob)
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(Executor, WorkerPoolRunsCompletionCallbacks)
+TEST(Executor, PooledExecutorRunsCompletionCallbacks)
 {
-    WorkerPool pool(2);
+    PooledExecutor pool(2);
     std::atomic<int> jobs{0};
-    std::atomic<int> completions{0};
+    int completions = 0;  // callbacks run on this thread only
     for (int i = 0; i < 50; ++i) {
         pool.Submit([&] { jobs.fetch_add(1); },
-                    [&] { completions.fetch_add(1); });
+                    [&] { ++completions; });
     }
     pool.Drain();
     EXPECT_EQ(jobs.load(), 50);
-    EXPECT_EQ(completions.load(), 50);
+    EXPECT_EQ(completions, 50);
 }
 
 TEST(Executor, PooledExecutorDefersCompletionsToPump)
@@ -184,9 +184,9 @@ TEST(Executor, PooledExecutorDefersCompletionsToPump)
     EXPECT_TRUE(completed);
 }
 
-TEST(Executor, WorkerPoolRunsAllJobs)
+TEST(Executor, PooledExecutorRunsAllJobs)
 {
-    WorkerPool pool(4);
+    PooledExecutor pool(4);
     std::atomic<int> count{0};
     for (int i = 0; i < 100; ++i) {
         pool.Submit([&] { count.fetch_add(1); });
@@ -197,7 +197,7 @@ TEST(Executor, WorkerPoolRunsAllJobs)
 
 TEST(Executor, DrainWaitsForInFlightJobs)
 {
-    WorkerPool pool(2);
+    PooledExecutor pool(2);
     std::atomic<bool> done{false};
     pool.Submit([&] {
         std::this_thread::sleep_for(std::chrono::milliseconds(50));

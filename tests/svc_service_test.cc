@@ -644,7 +644,7 @@ ReplicatedRun RunReplicatedTenant(bool shared, std::size_t replicas)
 {
     svc::ServiceOptions service_options;
     service_options.config = TestConfig();
-    service_options.shared_decisions = shared;
+    service_options.config.shared_decisions = shared;
     service_options.replication.seed = 7;
     service_options.replication.mean_latency_tasks = 120.0;
     service_options.replication.jitter = 0.6;
