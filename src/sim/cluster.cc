@@ -527,7 +527,7 @@ Cluster::ScheduleNewJobs()
     // stream), so node 0's queue is representative. New jobs are
     // those beyond `jobs_seen_`.
     const CoordinationOptions& coord = options_.coordination;
-    CoordinationSource().VisitPendingJobs(
+    Engine().VisitPendingJobs(
         jobs_seen_, [&](const core::PendingJobInfo& job) {
             jobs_seen_ = job.id + 1;
             JobSchedule sched;

@@ -421,6 +421,15 @@ class Cluster final : public api::Frontend {
         }
         return engine_->Decider();
     }
+    /** The deciding engine: the shared decider, or node 0's engine in
+     * per-node mode (identical numbers by the bit-identity property).
+     * Its pending-job queue drives coordination, and its stats and
+     * digests describe the run. */
+    const core::Apophenia& Engine() const
+    {
+        return engine_ != nullptr ? engine_->Decider()
+                                  : *nodes_[0]->front_end;
+    }
     /** Decision-path cost/fallback accounting (both modes). */
     DecisionStats DecisionCost() const;
     /** True iff node i diverged and was quarantined into a local
@@ -573,13 +582,6 @@ class Cluster final : public api::Frontend {
 
     // -- Shared-decision-mode helpers ---------------------------------------
 
-    /** The engine whose pending-job queue drives coordination: the
-     * decider in shared mode, node 0 otherwise. */
-    const core::Apophenia& CoordinationSource() const
-    {
-        return engine_ != nullptr ? engine_->Decider()
-                                  : *nodes_[0]->front_end;
-    }
     /** Node n's view of the retained launch at absolute index
      * `index`, with the fault injection applied if armed. */
     rt::TaskLaunchView NodeLaunchView(std::size_t n,

@@ -1,7 +1,8 @@
 #include "sim/harness.h"
 
+#include <algorithm>
 #include <memory>
-#include <optional>
+#include <span>
 
 #include "runtime/errors.h"
 
@@ -31,18 +32,10 @@ struct FrontendStack {
     std::unique_ptr<Cluster> cluster;
     std::unique_ptr<api::Frontend> wrapper;  ///< direct/untraced
     api::Frontend* front = nullptr;
-
-    /** The runtime whose operation log the simulator executes (node 0
-     * under replication: the stream agreement makes it
-     * representative). */
-    const rt::Runtime& ObservedRuntime() const
-    {
-        return cluster != nullptr ? cluster->NodeRuntime(0) : *runtime;
-    }
 };
 
 FrontendStack
-BuildFrontend(const ExperimentOptions& options, bool streaming)
+BuildFrontend(const ExperimentOptions& options)
 {
     FrontendStack stack;
     rt::RuntimeOptions runtime_options;
@@ -68,7 +61,8 @@ BuildFrontend(const ExperimentOptions& options, bool streaming)
         cluster_options.config.enabled =
             options.mode == TracingMode::kAuto;
         cluster_options.runtime_options = runtime_options;
-        cluster_options.stream_logs = streaming;
+        cluster_options.stream_logs =
+            options.log_mode == LogMode::kStreaming;
         cluster_options.jobs = options.cluster_jobs;
         cluster_options.share_mining_cache = options.share_mining_cache;
         stack.cluster = std::make_unique<Cluster>(cluster_options);
@@ -101,79 +95,179 @@ BuildFrontend(const ExperimentOptions& options, bool streaming)
     return stack;
 }
 
-PipelineOptions
-BuildPipelineOptions(const ExperimentOptions& options)
+}  // namespace
+
+LogObserver::LogObserver(LogMode mode, const apps::MachineConfig& machine,
+                         const rt::CostModel& costs,
+                         const core::ApopheniaConfig& config,
+                         bool apophenia_front_end, const SkewModel& skew)
+    : streaming_(mode == LogMode::kStreaming)
 {
-    PipelineOptions pipeline_options;
-    pipeline_options.machine = options.machine;
-    pipeline_options.costs = options.costs;
-    pipeline_options.apophenia_front_end =
-        options.mode == TracingMode::kAuto;
-    pipeline_options.window = options.auto_config.window;
-    pipeline_options.inline_transitive_reduction =
-        options.auto_config.inline_transitive_reduction;
-    // The same skew that perturbs the cluster's coordination timing
-    // stretches the simulated makespan (kNone = exactly 1.0 factors,
-    // bit-identical to a skew-free simulation).
-    pipeline_options.skew = options.skew;
-    return pipeline_options;
+    pipeline_.machine = machine;
+    pipeline_.costs = costs;
+    pipeline_.apophenia_front_end = apophenia_front_end;
+    pipeline_.window = config.window;
+    pipeline_.inline_transitive_reduction =
+        config.inline_transitive_reduction;
+    // The skew that perturbs a cluster's coordination timing stretches
+    // the simulated makespan too (kNone = exactly 1.0 factors).
+    pipeline_.skew = skew;
+    if (!streaming_) {
+        return;
+    }
+    if (config.inline_transitive_reduction) {
+        if (config.window == 0) {
+            throw rt::RuntimeUsageError(
+                "LogObserver: the inline transitive reduction over a "
+                "streaming log needs a bounded window (-lg:window > 0); "
+                "an unbounded reduction is a whole-log transform");
+        }
+        // The retained-path log transform streams through the windowed
+        // reducer instead: same edges, O(window) resident state.
+        reducer_.emplace(config.window);
+    }
+    PipelineOptions sim_options = pipeline_;
+    sim_options.inline_transitive_reduction = false;
+    sim_.emplace(sim_options);
 }
 
-}  // namespace
+void
+LogObserver::Attach(rt::Runtime& runtime)
+{
+    runtime_ = &runtime;
+    if (streaming_) {
+        runtime.EnableLogStreaming(
+            [this](const rt::OpView& op) { Consume(op); });
+    }
+}
+
+void
+LogObserver::Attach(Cluster& cluster)
+{
+    cluster_ = &cluster;
+    if (streaming_) {
+        cluster.AddLogConsumer(
+            0, [this](const rt::OpView& op) { Consume(op); });
+    }
+}
+
+void
+LogObserver::Consume(const rt::OpView& op)
+{
+    traced_.Consume(op);
+    digest_.Consume(op);
+    if (!reducer_) {
+        sim_->Consume(op);
+        return;
+    }
+    reduce_scratch_.assign(op.dependences.begin(), op.dependences.end());
+    reducer_->Reduce(op.index, reduce_scratch_);
+    rt::OpView reduced = op;
+    reduced.dependences = rt::DependenceSpan(
+        std::span<const rt::Dependence>(reduce_scratch_));
+    sim_->Consume(reduced);
+}
+
+ObservedLog
+LogObserver::Finish()
+{
+    const rt::OperationLog& log = cluster_ != nullptr
+                                      ? cluster_->NodeRuntime(0).Log()
+                                      : runtime_->Log();
+    ObservedLog observed;
+    if (streaming_) {
+        if (cluster_ != nullptr) {
+            cluster_->DrainLogStreams();
+        } else {
+            runtime_->DrainLogStream();
+        }
+        observed.sim = sim_->Finish();
+        observed.traced = std::move(traced_);
+    } else {
+        observed.sim = SimulatePipeline(log, pipeline_);
+        observed.traced = TracedFlags::Of(log);
+    }
+    // A replicated run's identity is the cluster's own node-0 digest.
+    observed.digest = cluster_ != nullptr ? cluster_->NodeDigest(0)
+                      : streaming_        ? digest_
+                                          : StreamDigest::Of(log);
+    return observed;
+}
+
+ExperimentResult
+Summarize(const ObservedLog& observed,
+          const std::vector<std::size_t>& boundaries,
+          const rt::Runtime& runtime, const api::FrontendStats& frontend,
+          const core::Apophenia* engine, const Cluster* cluster)
+{
+    ExperimentResult result;
+    result.iterations_per_second =
+        SteadyThroughput(IterationEndTimes(observed.sim, boundaries));
+    result.makespan_us = observed.sim.makespan_us;
+    result.warmup_iterations = WarmupIterations(observed.traced, boundaries);
+    result.total_tasks = runtime.Log().size();
+    result.runtime_stats = runtime.Stats();
+    result.replayed_fraction = runtime.Stats().ReplayedFraction();
+    result.trace_cache_evictions = runtime.Stats().traces_evicted;
+    result.frontend_stats = frontend;
+    result.log_peak_resident_bytes = runtime.Log().PeakResidentBytes();
+    result.log_retired_ops = runtime.Log().RetiredCount();
+    result.stream_digest = observed.digest.Value();
+    result.stream_digest_ops = observed.digest.Count();
+    const bool per_node = cluster != nullptr && !cluster->SharedDecisions();
+    auto add_finder_stats = [&result](const core::FinderStats& finder) {
+        result.mining_fast_path_hits += finder.mining_fast_path_hits;
+        result.mining_repairs += finder.mining_repairs;
+        result.mining_full += finder.mining_full;
+        result.mining_cache_hits += finder.mining_cache_hits;
+    };
+    if (engine != nullptr) {
+        result.apophenia_stats = engine->Stats();
+        result.candidate_digest = engine->CandidateDigest();
+        if (!per_node) {
+            add_finder_stats(engine->Finder());
+        }
+    }
+    if (cluster == nullptr) {
+        return result;
+    }
+    result.streams_identical = cluster->StreamDigestsAgree();
+    result.coordination = cluster->Coordination();
+    result.node_metrics = cluster->PerNode();
+    for (std::size_t n = 0; n < cluster->Nodes(); ++n) {
+        result.log_peak_resident_bytes = std::max(
+            result.log_peak_resident_bytes,
+            cluster->NodeRuntime(n).Log().PeakResidentBytes());
+        if (engine != nullptr && per_node) {
+            add_finder_stats(cluster->Node(n).Finder());
+        }
+    }
+    const core::MiningCache::Stats cache = cluster->MiningCacheStats();
+    result.mining_cache_misses = cache.misses;
+    result.mining_cache_windows = cache.windows;
+    result.mining_cache_evictions = cache.evictions;
+    const DecisionStats decisions = cluster->DecisionCost();
+    result.shared_decisions = decisions.shared;
+    result.decision_ns = decisions.decision_ns;
+    result.decision_apply_ns = decisions.apply_ns;
+    result.decision_batches = decisions.batches;
+    result.decisions_broadcast = decisions.decisions;
+    result.decision_fallbacks = decisions.fallbacks;
+    return result;
+}
 
 ExperimentResult
 RunExperiment(apps::Application& app, const ExperimentOptions& options)
 {
-    const bool streaming = options.log_mode == LogMode::kStreaming;
-    const bool reduce = options.auto_config.inline_transitive_reduction;
-    if (streaming && reduce && options.auto_config.window == 0) {
-        throw rt::RuntimeUsageError(
-            "RunExperiment: the inline transitive reduction over a "
-            "streaming log needs a bounded window (-lg:window > 0); an "
-            "unbounded reduction is a whole-log transform");
-    }
-
-    FrontendStack stack = BuildFrontend(options, streaming);
+    LogObserver observer(options.log_mode, options.machine, options.costs,
+                         options.auto_config,
+                         options.mode == TracingMode::kAuto, options.skew);
+    FrontendStack stack = BuildFrontend(options);
     api::Frontend& front = *stack.front;
-    const PipelineOptions pipeline_options = BuildPipelineOptions(options);
-
-    // Streaming: the simulator and the traced-flags metric run as the
-    // operation log's retire consumer (node 0's under replication);
-    // the logs recycle their blocks behind them. The inline transitive
-    // reduction, a retained-path log transform, streams through the
-    // windowed reducer instead — same edges, O(window) resident state.
-    std::optional<PipelineSimulator> streaming_sim;
-    std::optional<rt::WindowedTransitiveReducer> streaming_reducer;
-    std::vector<rt::Dependence> reduce_scratch;
-    TracedFlags streaming_traced;
-    StreamDigest streaming_digest;
-    if (streaming) {
-        PipelineOptions sim_options = pipeline_options;
-        sim_options.inline_transitive_reduction = false;
-        streaming_sim.emplace(sim_options);
-        if (reduce) {
-            streaming_reducer.emplace(options.auto_config.window);
-        }
-        auto consumer = [&](const rt::OpView& op) {
-            streaming_traced.Consume(op);
-            streaming_digest.Consume(op);
-            if (streaming_reducer) {
-                reduce_scratch.assign(op.dependences.begin(),
-                                      op.dependences.end());
-                streaming_reducer->Reduce(op.index, reduce_scratch);
-                rt::OpView reduced = op;
-                reduced.dependences = rt::DependenceSpan(
-                    std::span<const rt::Dependence>(reduce_scratch));
-                streaming_sim->Consume(reduced);
-            } else {
-                streaming_sim->Consume(op);
-            }
-        };
-        if (stack.cluster != nullptr) {
-            stack.cluster->AddLogConsumer(0, consumer);
-        } else {
-            stack.runtime->EnableLogStreaming(consumer);
-        }
+    if (stack.cluster != nullptr) {
+        observer.Attach(*stack.cluster);
+    } else {
+        observer.Attach(*stack.runtime);
     }
 
     // Iteration boundaries are measured on the issued stream (the
@@ -189,106 +283,22 @@ RunExperiment(apps::Application& app, const ExperimentOptions& options)
     }
     front.Flush();
 
-    const rt::Runtime& runtime = stack.ObservedRuntime();
-    ExperimentResult result;
-    PipelineResult sim;
-    if (streaming) {
-        if (stack.cluster != nullptr) {
-            stack.cluster->DrainLogStreams();
-        } else {
-            stack.runtime->DrainLogStream();
-        }
-        sim = streaming_sim->Finish();
-        result.warmup_iterations =
-            WarmupIterations(streaming_traced, boundaries);
-        if (options.keep_coverage_series) {
-            result.coverage_series = TracedCoverageSeries(
-                streaming_traced, options.coverage_window,
-                options.coverage_stride);
-        }
-    } else {
-        sim = SimulatePipeline(runtime.Log(), pipeline_options);
-        result.warmup_iterations =
-            WarmupIterations(runtime.Log(), boundaries);
-        if (options.keep_coverage_series) {
-            result.coverage_series = TracedCoverageSeries(
-                runtime.Log(), options.coverage_window,
-                options.coverage_stride);
-        }
+    // Replicated, node 0's log and the deciding engine describe the
+    // run (the stream agreement makes them representative).
+    const Cluster* cluster = stack.cluster.get();
+    const core::Apophenia* engine = stack.apophenia.get();
+    if (cluster != nullptr && options.mode == TracingMode::kAuto) {
+        engine = &cluster->Engine();
     }
-
-    const std::vector<double> ends = IterationEndTimes(sim, boundaries);
-    result.iterations_per_second = SteadyThroughput(ends);
-    result.makespan_us = sim.makespan_us;
-    result.total_tasks = runtime.Log().size();
-    result.runtime_stats = runtime.Stats();
-    result.replayed_fraction = runtime.Stats().ReplayedFraction();
-    result.trace_cache_evictions = runtime.Stats().traces_evicted;
-    result.frontend_stats = front.Stats();
-    result.log_peak_resident_bytes = runtime.Log().PeakResidentBytes();
-    result.log_retired_ops = runtime.Log().RetiredCount();
-    auto add_finder_stats = [&result](const core::FinderStats& finder) {
-        result.mining_fast_path_hits += finder.mining_fast_path_hits;
-        result.mining_repairs += finder.mining_repairs;
-        result.mining_full += finder.mining_full;
-    };
-    if (stack.cluster == nullptr) {
-        // Single-runtime runs report the same stream identity the
-        // cluster nodes do (and the svc::TraceService bit-identity
-        // check diffs against).
-        const StreamDigest digest = streaming
-                                        ? streaming_digest
-                                        : StreamDigest::Of(runtime.Log());
-        result.stream_digest = digest.Value();
-        result.stream_digest_ops = digest.Count();
-    }
-    if (stack.apophenia != nullptr) {
-        result.apophenia_stats = stack.apophenia->Stats();
-        add_finder_stats(stack.apophenia->Finder());
-        result.mining_cache_hits = stack.apophenia->Finder().mining_cache_hits;
-        result.candidate_digest = stack.apophenia->CandidateDigest();
-    } else if (stack.cluster != nullptr) {
-        // The decision-making engine whose stats/digests describe the
-        // run: the shared decider (whose decisions every node
-        // applied), or node 0's engine in per-node mode — identical
-        // numbers by the bit-identity property.
-        const bool shared = stack.cluster->SharedDecisions();
-        if (options.mode == TracingMode::kAuto) {
-            const core::Apophenia& decider =
-                shared ? stack.cluster->Decider() : stack.cluster->Node(0);
-            result.apophenia_stats = decider.Stats();
-            result.candidate_digest = decider.CandidateDigest();
-        }
-        result.streams_identical = stack.cluster->StreamDigestsAgree();
-        result.coordination = stack.cluster->Coordination();
-        result.node_metrics = stack.cluster->PerNode();
-        for (std::size_t n = 0; n < stack.cluster->Nodes(); ++n) {
-            result.log_peak_resident_bytes = std::max(
-                result.log_peak_resident_bytes,
-                stack.cluster->NodeRuntime(n).Log().PeakResidentBytes());
-            if (!shared) {
-                add_finder_stats(stack.cluster->Node(n).Finder());
-            }
-        }
-        if (shared) {
-            add_finder_stats(stack.cluster->Decider().Finder());
-        }
-        const core::MiningCache::Stats cache =
-            stack.cluster->MiningCacheStats();
-        result.mining_cache_hits = cache.hits;
-        result.mining_cache_misses = cache.misses;
-        result.mining_cache_windows = cache.windows;
-        result.mining_cache_evictions = cache.evictions;
-        const DecisionStats decisions = stack.cluster->DecisionCost();
-        result.shared_decisions = decisions.shared;
-        result.decision_ns = decisions.decision_ns;
-        result.decision_apply_ns = decisions.apply_ns;
-        result.decision_batches = decisions.batches;
-        result.decisions_broadcast = decisions.decisions;
-        result.decision_fallbacks = decisions.fallbacks;
-        const StreamDigest digest = stack.cluster->NodeDigest(0);
-        result.stream_digest = digest.Value();
-        result.stream_digest_ops = digest.Count();
+    const ObservedLog observed = observer.Finish();
+    ExperimentResult result = Summarize(
+        observed, boundaries,
+        cluster != nullptr ? cluster->NodeRuntime(0) : *stack.runtime,
+        front.Stats(), engine, cluster);
+    if (options.keep_coverage_series) {
+        result.coverage_series = TracedCoverageSeries(
+            observed.traced, options.coverage_window,
+            options.coverage_stride);
     }
     return result;
 }

@@ -11,13 +11,17 @@
  * axis: any workload can run on an N-node sim::Cluster under a
  * pluggable per-node SkewModel, and the result carries the incremental
  * stream-digest safety check plus per-node stall/agreement metrics.
- * The log-mode axis (retained vs streaming-retire) composes with both
- * — a replicated streaming run keeps every node's resident log
- * bounded and verifies agreement through the rolling digests.
+ * The log-mode axis (retained vs streaming-retire, decided in one
+ * place: sim::LogObserver) composes with both — a replicated streaming
+ * run keeps every node's resident log bounded and verifies agreement
+ * through the rolling digests. sim::Summarize turns the observed log
+ * and the stack into the result, for this harness and for
+ * svc::TraceService alike.
  */
 #ifndef APOPHENIA_SIM_HARNESS_H
 #define APOPHENIA_SIM_HARNESS_H
 
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -62,13 +66,10 @@ enum class LogMode {
      * configuration every figure is reported with). */
     kRetained,
     /** Streaming retire: the simulator and metrics run as the log's
-     * streaming consumer, blocks recycle, and resident log memory
-     * stays bounded no matter how long the stream is. Metrics and
-     * decisions are bit-identical to kRetained. Composes with control
-     * replication (every node streams; agreement is checked through
-     * the incremental StreamDigest) and with the inline transitive
-     * reduction (applied through the windowed streaming reducer; needs
-     * a nonzero -lg:window). */
+     * consumer (sim::LogObserver), blocks recycle, and resident log
+     * memory stays bounded. Bit-identical to kRetained; composes with
+     * control replication and with the inline transitive reduction
+     * (windowed; needs a nonzero -lg:window). */
     kStreaming,
 };
 
@@ -151,16 +152,18 @@ struct ExperimentResult {
     /** Operations drained through the streaming consumer on node 0
      * (0 when retained). */
     std::size_t log_retired_ops = 0;
-    /** Shared-mining-cache counters (replicated runs; zero when the
-     * cache is off). Every mining-job probe is a hit (another node's
-     * result adopted) or a miss (mined locally); `windows` counts
-     * published mining runs, so misses == windows certifies each
-     * distinct window was mined once cluster-wide. */
+    /** Mining-cache counters: hits summed over the finders that mined
+     * (see Summarize); misses, windows and evictions from a replicated
+     * run's own shared cache (zero when it is off). Every mining-job
+     * probe is a hit (another node's result adopted) or a miss (mined
+     * locally); `windows` counts published mining runs, so misses ==
+     * windows certifies each distinct window was mined once
+     * cluster-wide. */
     std::uint64_t mining_cache_hits = 0;
     std::uint64_t mining_cache_misses = 0;
     std::size_t mining_cache_windows = 0;
     /** Incremental-mining tier counters over ingested jobs, summed
-     * across nodes when replicated (all zero with incremental mining
+     * over the finders that mined (all zero with incremental mining
      * off): jobs served by the rolling fast path (no mining, no cache
      * probe), by incremental structure repair, and by full rebuild. */
     std::uint64_t mining_fast_path_hits = 0;
@@ -197,6 +200,72 @@ struct ExperimentResult {
     std::uint64_t decisions_broadcast = 0;
     std::uint64_t decision_fallbacks = 0;
 };
+
+/** What a run's log yields: simulated timing, one traced bit per
+ * operation, and the stream identity. */
+struct ObservedLog {
+    PipelineResult sim;
+    TracedFlags traced;
+    StreamDigest digest;
+};
+
+/**
+ * The one place the log mode is decided (RunExperiment and
+ * svc::TraceService both use it), simulating the pipeline on
+ * `machine`. Attach() it before the first launch; Finish() it once.
+ *  - kStreaming: Consume() is the log's retire consumer, feeding the
+ *    digest, the traced flags, the windowed transitive reducer (under
+ *    the inline reduction) and the incremental simulator.
+ *  - kRetained: Finish() walks the whole log (SimulatePipeline,
+ *    TracedFlags::Of, StreamDigest::Of) — the reference path the
+ *    streaming-equals-retained tests diff against.
+ * A replicated run's stream identity is the cluster's node-0 digest.
+ * Not copyable: the attached consumer holds the observer's address.
+ */
+class LogObserver {
+  public:
+    /** @throws rt::RuntimeUsageError for a streaming log under the
+     *  inline transitive reduction with an unbounded window. */
+    LogObserver(LogMode mode, const apps::MachineConfig& machine,
+                const rt::CostModel& costs,
+                const core::ApopheniaConfig& config,
+                bool apophenia_front_end, const SkewModel& skew = {});
+    LogObserver(const LogObserver&) = delete;
+    LogObserver& operator=(const LogObserver&) = delete;
+
+    void Attach(rt::Runtime& runtime);
+    /** Observes node 0 (streaming needs ClusterOptions::stream_logs). */
+    void Attach(Cluster& cluster);
+    void Consume(const rt::OpView& op);
+    ObservedLog Finish();
+
+  private:
+    PipelineOptions pipeline_;
+    bool streaming_;
+    rt::Runtime* runtime_ = nullptr;
+    Cluster* cluster_ = nullptr;
+    std::optional<PipelineSimulator> sim_;
+    std::optional<rt::WindowedTransitiveReducer> reducer_;
+    std::vector<rt::Dependence> reduce_scratch_;
+    TracedFlags traced_;
+    StreamDigest digest_;
+};
+
+/**
+ * One run's result: throughput and warm-up over `boundaries`
+ * (issued-task count after each iteration), the observed runtime's and
+ * front end's counters, the deciding engine's stats and digest
+ * (nullptr when nothing traces automatically) and, replicated, the
+ * cluster's agreement, coordination, own cache and decision counters.
+ * Mining-tier and cache-hit counters sum over the finders that mined:
+ * the engine's, or every node's in per-node mode.
+ */
+ExperimentResult Summarize(const ObservedLog& observed,
+                           const std::vector<std::size_t>& boundaries,
+                           const rt::Runtime& runtime,
+                           const api::FrontendStats& frontend,
+                           const core::Apophenia* engine,
+                           const Cluster* cluster);
 
 /** Run `app` for `options.iterations` main-loop iterations and
  * simulate the resulting operation log on the machine model. */

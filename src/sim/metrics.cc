@@ -101,14 +101,6 @@ WarmupIterations(const TracedFlags& traced,
     return warmup;
 }
 
-std::size_t
-WarmupIterations(const rt::OperationLog& log,
-                 const std::vector<std::size_t>& boundaries,
-                 double threshold)
-{
-    return WarmupIterations(TracedFlags::Of(log), boundaries, threshold);
-}
-
 std::vector<std::pair<std::size_t, double>>
 TracedCoverageSeries(const TracedFlags& traced, std::size_t window,
                      std::size_t stride)
@@ -131,13 +123,6 @@ TracedCoverageSeries(const TracedFlags& traced, std::size_t window,
         series.emplace_back(i, 100.0 * count / denom);
     }
     return series;
-}
-
-std::vector<std::pair<std::size_t, double>>
-TracedCoverageSeries(const rt::OperationLog& log, std::size_t window,
-                     std::size_t stride)
-{
-    return TracedCoverageSeries(TracedFlags::Of(log), window, stride);
 }
 
 }  // namespace apo::sim

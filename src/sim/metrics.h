@@ -5,10 +5,10 @@
  * coverage series (paper figure 10).
  *
  * The log-shape metrics (warmup, coverage) need one bit per operation
- * — was it traced? — so they come in two forms: over a retained
- * OperationLog, and over a TracedFlags accumulator filled
+ * — was it traced? — so they read a TracedFlags accumulator: filled
  * incrementally by a streaming-retire consumer (one byte per op, so a
- * million-task stream costs a megabyte, not the log).
+ * million-task stream costs a megabyte, not the log), or extracted
+ * from a retained log with TracedFlags::Of.
  */
 #ifndef APOPHENIA_SIM_METRICS_H
 #define APOPHENIA_SIM_METRICS_H
@@ -68,9 +68,6 @@ class TracedFlags {
 std::size_t WarmupIterations(const TracedFlags& traced,
                              const std::vector<std::size_t>& boundaries,
                              double threshold = 0.5);
-std::size_t WarmupIterations(const rt::OperationLog& log,
-                             const std::vector<std::size_t>& boundaries,
-                             double threshold = 0.5);
 
 /**
  * Figure 10's series: for operation indices stepped by `stride`, the
@@ -78,8 +75,6 @@ std::size_t WarmupIterations(const rt::OperationLog& log,
  */
 std::vector<std::pair<std::size_t, double>> TracedCoverageSeries(
     const TracedFlags& traced, std::size_t window, std::size_t stride);
-std::vector<std::pair<std::size_t, double>> TracedCoverageSeries(
-    const rt::OperationLog& log, std::size_t window, std::size_t stride);
 
 }  // namespace apo::sim
 

@@ -4,12 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <span>
 
 #include "runtime/errors.h"
 #include "sim/cluster.h"
-#include "sim/metrics.h"
-#include "sim/pipeline.h"
 #include "support/hash.h"
 
 namespace apo::svc {
@@ -80,6 +77,9 @@ class TenantSession final : public api::Frontend {
 struct TraceService::Tenant {
     TenantOptions options;
     rt::TokenHash name_space = 0;
+    /** Observes the tenant's log (node 0's when replicated); declared
+     * before the stack whose log consumer points at it. */
+    std::optional<sim::LogObserver> observer;
     std::unique_ptr<rt::Runtime> runtime;
     std::unique_ptr<core::Apophenia> engine;
     std::unique_ptr<sim::Cluster> cluster;
@@ -106,16 +106,6 @@ struct TraceService::Tenant {
     std::uint64_t ready_since = 0;
     /** Open loop: virtual time of iteration 0's arrival. */
     std::uint64_t arrival_base = 0;
-
-    /** Streaming log mode: the tenant's retire-consumer stack — the
-     * harness's streaming wiring, per tenant (simulator + traced
-     * flags + digest run incrementally; the log recycles its blocks
-     * behind them). */
-    std::optional<sim::PipelineSimulator> streaming_sim;
-    std::optional<rt::WindowedTransitiveReducer> streaming_reducer;
-    std::vector<rt::Dependence> reduce_scratch;
-    sim::TracedFlags streaming_traced;
-    sim::StreamDigest streaming_digest;
 
     explicit Tenant(std::size_t reservoir_capacity)
         : latencies(reservoir_capacity), wall_ns(reservoir_capacity)
@@ -263,23 +253,18 @@ TraceService::DefaultNamespace(std::size_t index)
 std::size_t
 TraceService::AddTenant(TenantOptions tenant)
 {
-    const bool streaming = options_.log_mode == sim::LogMode::kStreaming;
-    if (streaming && tenant.replicas > 1) {
+    if (options_.log_mode == sim::LogMode::kStreaming &&
+        tenant.replicas > 1) {
         throw ServiceUsageError(
             "TraceService::AddTenant: tenant '" + tenant.name +
             "': sim::LogMode::kStreaming is incompatible with "
             "replicated tenants (the cluster owns the node logs)");
     }
-    if (streaming && options_.config.inline_transitive_reduction &&
-        options_.config.window == 0) {
-        throw ServiceUsageError(
-            "TraceService::AddTenant: the inline transitive reduction "
-            "over a streaming tenant log needs a bounded window "
-            "(-lg:window > 0); an unbounded reduction is a whole-log "
-            "transform");
-    }
     auto state =
         std::make_unique<Tenant>(options_.latency_reservoir_capacity);
+    state->observer.emplace(options_.log_mode, options_.machine,
+                            options_.costs, options_.config,
+                            /*apophenia_front_end=*/true);
     state->options = std::move(tenant);
     state->name_space = state->options.name_space.value_or(
         DefaultNamespace(tenants_.size()));
@@ -313,49 +298,14 @@ TraceService::AddTenant(TenantOptions tenant)
             state->options.checkpoint_interval_tasks;
         cluster_options.external_mining_cache = cache_.get();
         state->cluster = std::make_unique<sim::Cluster>(cluster_options);
+        state->observer->Attach(*state->cluster);
         inner = state->cluster.get();
     } else {
         state->runtime = std::make_unique<rt::Runtime>(runtime_options);
         state->engine = std::make_unique<core::Apophenia>(
             *state->runtime, config, options_.executor, cache_.get());
+        state->observer->Attach(*state->runtime);
         inner = state->engine.get();
-        if (streaming) {
-            // The harness's streaming wiring, per tenant: simulator,
-            // traced flags and digest run as the log's retire
-            // consumer; the log recycles its blocks behind them, so a
-            // sustained open-loop run holds a memory plateau. The
-            // inline transitive reduction streams through the
-            // windowed reducer (validated above).
-            sim::PipelineOptions sim_options;
-            sim_options.machine = options_.machine;
-            sim_options.costs = options_.costs;
-            sim_options.apophenia_front_end = true;
-            sim_options.window = options_.config.window;
-            sim_options.inline_transitive_reduction = false;
-            state->streaming_sim.emplace(sim_options);
-            if (options_.config.inline_transitive_reduction) {
-                state->streaming_reducer.emplace(options_.config.window);
-            }
-            Tenant* raw = state.get();  // heap address, stable
-            state->runtime->EnableLogStreaming([raw](
-                                                   const rt::OpView& op) {
-                raw->streaming_traced.Consume(op);
-                raw->streaming_digest.Consume(op);
-                if (raw->streaming_reducer) {
-                    raw->reduce_scratch.assign(op.dependences.begin(),
-                                               op.dependences.end());
-                    raw->streaming_reducer->Reduce(op.index,
-                                                   raw->reduce_scratch);
-                    rt::OpView reduced = op;
-                    reduced.dependences =
-                        rt::DependenceSpan(std::span<const rt::Dependence>(
-                            raw->reduce_scratch));
-                    raw->streaming_sim->Consume(reduced);
-                } else {
-                    raw->streaming_sim->Consume(op);
-                }
-            });
-        }
     }
     state->session =
         std::make_unique<TenantSession>(*inner, state->name_space);
@@ -373,11 +323,8 @@ const core::Apophenia&
 TraceService::TenantEngine(std::size_t tenant) const
 {
     const Tenant& state = *tenants_.at(tenant);
-    if (state.cluster != nullptr) {
-        return state.cluster->SharedDecisions() ? state.cluster->Decider()
-                                                : state.cluster->Node(0);
-    }
-    return *state.engine;
+    return state.cluster != nullptr ? state.cluster->Engine()
+                                    : *state.engine;
 }
 
 const rt::Runtime&
@@ -507,9 +454,8 @@ TraceService::ApplyOverloadControl(Tenant& tenant, std::uint64_t clock)
 }
 
 void
-TraceService::RunWatchdogAndHealth(std::uint64_t clock)
+TraceService::RunWatchdogAndHealth()
 {
-    (void)clock;
     if (options_.analysis_timeout_tasks > 0) {
         std::size_t abandoned = 0;
         for (const auto& tenant : tenants_) {
@@ -678,7 +624,7 @@ TraceService::Run()
             // harness's final Flush.
             tenant.session->Flush();
         }
-        RunWatchdogAndHealth(clock);
+        RunWatchdogAndHealth();
     }
     return AssembleResults(clock);
 }
@@ -706,118 +652,41 @@ TraceService::AssembleResults(std::uint64_t virtual_time)
             ->Name());
     result.virtual_time = virtual_time;
 
-    sim::PipelineOptions pipeline_options;
-    pipeline_options.machine = options_.machine;
-    pipeline_options.costs = options_.costs;
-    pipeline_options.apophenia_front_end = true;
-    pipeline_options.window = options_.config.window;
-    pipeline_options.inline_transitive_reduction =
-        options_.config.inline_transitive_reduction;
+    for (std::size_t t = 0; t < tenants_.size(); ++t) {
+        Tenant& tenant = *tenants_[t];
+        sim::ExperimentResult experiment = sim::Summarize(
+            tenant.observer->Finish(), tenant.boundaries, TenantRuntime(t),
+            tenant.session->Stats(), &TenantEngine(t),
+            tenant.cluster.get());
 
-    for (const auto& tenant : tenants_) {
-        const sim::Cluster* cluster = tenant->cluster.get();
-        const rt::Runtime& runtime = cluster != nullptr
-                                         ? cluster->NodeRuntime(0)
-                                         : *tenant->runtime;
-        // Replicated: the engine whose stats describe the tenant is
-        // the shared decider (or replica 0's in per-node mode —
-        // identical numbers by the bit-identity property).
-        const core::Apophenia& engine =
-            cluster != nullptr
-                ? (cluster->SharedDecisions() ? cluster->Decider()
-                                              : cluster->Node(0))
-                : *tenant->engine;
-        const core::FinderStats& finder = engine.Finder();
-        const bool streaming = tenant->streaming_sim.has_value();
-
-        sim::ExperimentResult experiment;
-        sim::PipelineResult sim;
-        sim::StreamDigest digest;
-        if (streaming) {
-            // The tenant's log streamed through its retire consumer —
-            // drain the tail, finish the incremental simulator and
-            // take the rolling digest (the retained log is gone).
-            tenant->runtime->DrainLogStream();
-            sim = tenant->streaming_sim->Finish();
-            digest = tenant->streaming_digest;
-            experiment.warmup_iterations = sim::WarmupIterations(
-                tenant->streaming_traced, tenant->boundaries);
-        } else {
-            sim = SimulatePipeline(runtime.Log(), pipeline_options);
-            digest = sim::StreamDigest::Of(runtime.Log());
-            experiment.warmup_iterations = sim::WarmupIterations(
-                runtime.Log(), tenant->boundaries);
-        }
-        const std::vector<double> ends =
-            IterationEndTimes(sim, tenant->boundaries);
-        experiment.iterations_per_second = sim::SteadyThroughput(ends);
-        experiment.makespan_us = sim.makespan_us;
-        experiment.total_tasks = runtime.Log().size();
-        experiment.runtime_stats = runtime.Stats();
-        experiment.replayed_fraction =
-            runtime.Stats().ReplayedFraction();
-        experiment.trace_cache_evictions =
-            runtime.Stats().traces_evicted;
-        experiment.frontend_stats = tenant->session->Stats();
-        experiment.apophenia_stats = engine.Stats();
-        experiment.mining_fast_path_hits = finder.mining_fast_path_hits;
-        experiment.mining_repairs = finder.mining_repairs;
-        experiment.mining_full = finder.mining_full;
-        experiment.mining_cache_hits = finder.mining_cache_hits;
-        experiment.log_peak_resident_bytes =
-            runtime.Log().PeakResidentBytes();
-        experiment.log_retired_ops = runtime.Log().RetiredCount();
-        experiment.stream_digest = digest.Value();
-        experiment.stream_digest_ops = digest.Count();
-        if (cluster != nullptr) {
-            experiment.streams_identical = cluster->StreamDigestsAgree();
-            experiment.coordination = cluster->Coordination();
-            experiment.node_metrics = cluster->PerNode();
-            const sim::DecisionStats decisions = cluster->DecisionCost();
-            experiment.shared_decisions = decisions.shared;
-            experiment.decision_ns = decisions.decision_ns;
-            experiment.decision_apply_ns = decisions.apply_ns;
-            experiment.decision_batches = decisions.batches;
-            experiment.decisions_broadcast = decisions.decisions;
-            experiment.decision_fallbacks = decisions.fallbacks;
-            for (std::size_t n = 0; n < cluster->Nodes(); ++n) {
-                experiment.log_peak_resident_bytes = std::max(
-                    experiment.log_peak_resident_bytes,
-                    cluster->NodeRuntime(n).Log().PeakResidentBytes());
-            }
-        }
-
+        const core::ApopheniaStats& front = experiment.apophenia_stats;
         TenantStats stats;
-        stats.name = tenant->options.name;
-        stats.name_space = tenant->name_space;
-        stats.iterations_completed = tenant->completed;
-        stats.tokens_issued =
-            tenant->session->Stats().tasks_executed;
-        stats.tokens_replayed = runtime.Stats().tasks_replayed;
-        const core::ApopheniaStats& front = engine.Stats();
+        stats.name = tenant.options.name;
+        stats.name_space = tenant.name_space;
+        stats.iterations_completed = tenant.completed;
+        stats.tokens_issued = experiment.frontend_stats.tasks_executed;
+        stats.tokens_replayed = experiment.runtime_stats.tasks_replayed;
         stats.trace_cache_hit_rate =
             front.traces_fired == 0
                 ? 0.0
                 : static_cast<double>(front.trace_replays) /
                       static_cast<double>(front.traces_fired);
-        stats.trace_cache_evictions = runtime.Stats().traces_evicted;
-        stats.mining_cache_hits = finder.mining_cache_hits;
+        stats.trace_cache_evictions = experiment.trace_cache_evictions;
+        stats.mining_cache_hits = experiment.mining_cache_hits;
         stats.cross_tenant_mining_hits =
-            finder.mining_cache_cross_hits;
-        stats.p50_issue_latency = tenant->latencies.Percentile(0.50);
-        stats.p99_issue_latency = tenant->latencies.Percentile(0.99);
-        stats.p50_issue_wall_us =
-            tenant->wall_ns.Percentile(0.50) / 1000.0;
-        stats.p99_issue_wall_us =
-            tenant->wall_ns.Percentile(0.99) / 1000.0;
-        stats.stream_digest = digest.Value();
-        stats.stream_digest_ops = digest.Count();
-        stats.candidate_digest = engine.CandidateDigest();
-        stats.iterations_shed = tenant->shed;
-        stats.iterations_degraded = tenant->degraded_iterations;
-        stats.degrade_windows = tenant->degrade_windows;
-        stats.tokens_degraded = engine.Stats().tasks_degraded;
-        stats.max_backlog = tenant->max_backlog;
+            TenantEngine(t).Finder().mining_cache_cross_hits;
+        stats.p50_issue_latency = tenant.latencies.Percentile(0.50);
+        stats.p99_issue_latency = tenant.latencies.Percentile(0.99);
+        stats.p50_issue_wall_us = tenant.wall_ns.Percentile(0.50) / 1000.0;
+        stats.p99_issue_wall_us = tenant.wall_ns.Percentile(0.99) / 1000.0;
+        stats.stream_digest = experiment.stream_digest;
+        stats.stream_digest_ops = experiment.stream_digest_ops;
+        stats.candidate_digest = experiment.candidate_digest;
+        stats.iterations_shed = tenant.shed;
+        stats.iterations_degraded = tenant.degraded_iterations;
+        stats.degrade_windows = tenant.degrade_windows;
+        stats.tokens_degraded = front.tasks_degraded;
+        stats.max_backlog = tenant.max_backlog;
 
         result.experiments.push_back(std::move(experiment));
         result.tenants.push_back(std::move(stats));

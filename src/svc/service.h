@@ -286,9 +286,9 @@ struct ServiceOptions {
     // -- Overload control / health monitor ----------------------------------
 
     /** Operation-log mode of unreplicated tenants:
-     * sim::LogMode::kStreaming retires each tenant's log through an
-     * incremental pipeline simulator + digest (the harness's
-     * streaming wiring), so resident memory stays bounded on
+     * sim::LogMode::kStreaming retires each tenant's log through the
+     * harness's sim::LogObserver (incremental simulator + digest),
+     * so resident memory stays bounded on
      * unbounded streams — the sustained-driver mode. Incompatible
      * with replicated tenants (their cluster owns the node logs). */
     sim::LogMode log_mode = sim::LogMode::kRetained;
@@ -403,8 +403,8 @@ struct HealthStats {
 struct ServiceResult {
     std::string policy;
     std::vector<TenantStats> tenants;
-    /** Full per-tenant harness results (pipeline-simulated on the
-     * tenant's own log; TenantStats threads through/extends these). */
+    /** Full per-tenant results (sim::Summarize of the tenant's
+     * observed log; TenantStats copies its twins from these). */
     std::vector<sim::ExperimentResult> experiments;
     core::MiningCache::Stats mining_cache;
     /** Cross-tenant sharing ratio: fraction of all shared-cache
@@ -466,7 +466,7 @@ class TraceService {
      * configurations (see ServiceUsageError). */
     void ValidateForRun() const;
     void ApplyOverloadControl(Tenant& tenant, std::uint64_t clock);
-    void RunWatchdogAndHealth(std::uint64_t clock);
+    void RunWatchdogAndHealth();
     ServiceResult AssembleResults(std::uint64_t virtual_time);
 
     ServiceOptions options_;

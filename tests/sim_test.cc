@@ -231,16 +231,20 @@ TEST(Metrics, WarmupIterationsFindsSteadyPoint)
     for (std::size_t b = 10; b <= 100; b += 10) {
         boundaries.push_back(b);
     }
-    EXPECT_EQ(WarmupIterations(ModeLog(100, 30), boundaries, 0.9), 3u);
+    EXPECT_EQ(WarmupIterations(TracedFlags::Of(ModeLog(100, 30)),
+                               boundaries, 0.9),
+              3u);
     // All analyzed: never steady (the final two iterations are
     // excluded from the scan as flush-polluted).
-    EXPECT_EQ(WarmupIterations(ModeLog(100, 100), boundaries, 0.9), 8u);
+    EXPECT_EQ(WarmupIterations(TracedFlags::Of(ModeLog(100, 100)),
+                               boundaries, 0.9),
+              8u);
 }
 
 TEST(Metrics, TracedCoverageSeries)
 {
-    const rt::OperationLog log = ModeLog(100, 50);
-    const auto series = TracedCoverageSeries(log, 50, 25);
+    const auto series =
+        TracedCoverageSeries(TracedFlags::Of(ModeLog(100, 50)), 50, 25);
     ASSERT_EQ(series.size(), 4u);
     EXPECT_DOUBLE_EQ(series[0].second, 0.0);    // ops 0-25
     EXPECT_DOUBLE_EQ(series[3].second, 100.0);  // ops 50-100

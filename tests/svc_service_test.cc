@@ -194,17 +194,19 @@ core::ApopheniaConfig TestConfig()
 }
 
 /** Drive one app through a single-tenant service and through the
- * direct harness with the same knobs; the issued stream and the
- * ingested candidate sets must agree bit for bit. */
+ * direct harness with the same knobs and log mode; the issued stream
+ * and the ingested candidate sets must agree bit for bit. */
 template <typename App, typename Options>
 void ExpectSingleTenantIdentity(const Options& app_options,
-                                std::size_t iterations)
+                                std::size_t iterations,
+                                sim::LogMode log_mode)
 {
     sim::ExperimentOptions direct_options;
     direct_options.mode = sim::TracingMode::kAuto;
     direct_options.iterations = iterations;
     direct_options.machine = app_options.machine;
     direct_options.auto_config = TestConfig();
+    direct_options.log_mode = log_mode;
     App direct_app(app_options);
     const sim::ExperimentResult direct =
         sim::RunExperiment(direct_app, direct_options);
@@ -213,6 +215,7 @@ void ExpectSingleTenantIdentity(const Options& app_options,
     svc::ServiceOptions service_options;
     service_options.machine = app_options.machine;
     service_options.config = TestConfig();
+    service_options.log_mode = log_mode;
     svc::TraceService service(service_options);
     App tenant_app(app_options);
     svc::TenantOptions tenant;
@@ -239,10 +242,24 @@ void ExpectSingleTenantIdentity(const Options& app_options,
               direct.apophenia_stats.trace_records);
     EXPECT_EQ(experiment.apophenia_stats.candidates_ingested,
               direct.apophenia_stats.candidates_ingested);
+    EXPECT_EQ(experiment.candidate_digest, direct.candidate_digest);
     // Latency in a single-tenant closed loop is identically zero —
     // the tenant is granted the moment it becomes ready.
     EXPECT_EQ(stats.p50_issue_latency, 0.0);
     EXPECT_EQ(stats.p99_issue_latency, 0.0);
+}
+
+/** The identity above under retained and under streaming logs. */
+template <typename App, typename Options>
+void ExpectSingleTenantIdentity(const Options& app_options,
+                                std::size_t iterations)
+{
+    for (const sim::LogMode log_mode :
+         {sim::LogMode::kRetained, sim::LogMode::kStreaming}) {
+        SCOPED_TRACE(log_mode == sim::LogMode::kRetained ? "retained"
+                                                         : "streaming");
+        ExpectSingleTenantIdentity<App>(app_options, iterations, log_mode);
+    }
 }
 
 TEST(SingleTenantIdentity, S3d)
