@@ -31,6 +31,9 @@
  *             least one path with the substring — the gate that keeps
  *             a bench from quietly dropping a record.
  *
+ * When the two records' top-level `hardware_concurrency` differ, one
+ * `host mismatch: ...` line says so; it changes no verdict.
+ *
  * Exit codes: 0 ok; 1 regression (waivable in ci.sh via
  * APO_ALLOW_BENCH_REGRESSION=1); 2 usage, parse failure, or a missing
  * --require record (never waivable).

@@ -255,6 +255,18 @@ inline int RunBenchCompare(const CompareOptions& options,
         return 2;
     }
 
+    // Wall-clock metrics from different hosts are not comparable; say
+    // so next to the verdict (which stays the same either way).
+    const auto base_host = baseline.find("hardware_concurrency");
+    const auto current_host = current.find("hardware_concurrency");
+    if (base_host != baseline.end() && current_host != current.end() &&
+        base_host->second != current_host->second) {
+        std::fprintf(out,
+                     "host mismatch: baseline hardware_concurrency=%.0f, "
+                     "current=%.0f\n",
+                     base_host->second, current_host->second);
+    }
+
     // Required records must exist in the *current* file: a bench that
     // stops emitting a record must fail CI, not silently pass.
     for (const std::string& record : options.required) {

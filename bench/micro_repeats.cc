@@ -11,7 +11,9 @@
  * drives TraceFinder::Observe on a mining-heavy configuration with
  * the per-job work discarded, isolating what the application thread
  * pays per token: with zero-copy snapshots that is O(slice/block)
- * reference bumps per job. The result is recorded to
+ * reference bumps per job. The trie_match section measures the
+ * replayer's other per-token cost, advancing every live match pointer
+ * through the candidate trie. The results are recorded to
  * BENCH_micro_repeats.json so successive PRs keep a perf trajectory.
  *
  * Usage:
@@ -33,6 +35,7 @@
 #include "api/frontend.h"
 #include "api/launch.h"
 #include "bench_util.h"
+#include "core/apophenia.h"
 #include "core/finder.h"
 #include "core/steady_miner.h"
 #include "runtime/oplog.h"
@@ -42,6 +45,7 @@
 #include "strings/suffix_array.h"
 #include "support/executor.h"
 #include "support/rng.h"
+#include "svc/workload.h"
 
 #include "support/counting_allocator.h"
 
@@ -672,6 +676,155 @@ SteadyMiningRecord RunSteadyMiningRecord()
     return record;
 }
 
+// ---------------------------------------------------------------------------
+// Trie matching through the Apophenia front end (the flat-edge claim).
+//
+// The replayer advances every live match pointer one trie edge per
+// issued token (paper section 4.3), so the front end's own cost per
+// task grows with the number of overlapping candidates. Measured on a
+// seeded S3D-like stream — a periodic 64-launch kernel over 4 GPUs,
+// interrupted every 10th iteration the way S3D's Fortran hand-off
+// interrupts it — through an Apophenia front end (artifact config,
+// inline mining) whose trie was grown over a warm-up prefix. The
+// tokens/sec figure is the whole issue path (mining, matching,
+// replay, dependence analysis); live pointers per token is how many
+// trie steps each token paid for.
+
+/** Forwards to an Apophenia front end and samples its live match
+ * pointers after every launch. */
+class PointerSamplingFrontend final : public apo::api::Frontend {
+  public:
+    explicit PointerSamplingFrontend(apo::core::Apophenia& inner)
+        : inner_(&inner)
+    {
+    }
+    std::string_view Name() const override { return "pointer-sampling"; }
+    apo::rt::RegionId CreateRegion() override
+    {
+        return inner_->CreateRegion();
+    }
+    void DestroyRegion(apo::rt::RegionId r) override
+    {
+        inner_->DestroyRegion(r);
+    }
+    std::vector<apo::rt::RegionId> PartitionRegion(
+        apo::rt::RegionId parent, std::size_t count) override
+    {
+        return inner_->PartitionRegion(parent, count);
+    }
+    std::uint64_t PointerSum() const { return pointer_sum_; }
+
+  protected:
+    void DoExecuteTask(const apo::rt::TaskLaunchView& launch) override
+    {
+        inner_->ExecuteTask(launch);
+        pointer_sum_ += inner_->ActivePointers();
+    }
+    bool DoBeginTrace(apo::rt::TraceId) override { return false; }
+    bool DoEndTrace(apo::rt::TraceId) override { return false; }
+    void DoFlush() override { inner_->Flush(); }
+
+  private:
+    apo::core::Apophenia* inner_;
+    std::uint64_t pointer_sum_ = 0;
+};
+
+struct TrieMatchRecord {
+    double tokens_per_sec = 0.0;
+    double live_pointers_per_token = 0.0;
+    std::uint64_t tokens = 0;
+    std::size_t trie_nodes = 0;
+    std::size_t trie_candidates = 0;
+    std::uint64_t traces_fired = 0;
+};
+
+TrieMatchRecord RunTrieMatchRecord()
+{
+    constexpr std::uint64_t kSeed = 2;
+    constexpr std::size_t kWarmupIterations = 300;
+    constexpr std::size_t kIterations = 1500;
+    constexpr int kReps = 5;
+
+    svc::SyntheticOptions stream;
+    stream.machine = apps::MachineConfig{.nodes = 1, .gpus_per_node = 4};
+    stream.seed = kSeed;
+    stream.kernel_tasks = 64;
+    stream.noise_interval = 10;
+
+    TrieMatchRecord record;
+    for (int rep = 0; rep < kReps; ++rep) {
+        rt::Runtime runtime;
+        runtime.EnableLogStreaming([](const rt::OpView&) {});
+        core::Apophenia apophenia(runtime, bench::ArtifactConfig());
+        PointerSamplingFrontend front(apophenia);
+        svc::SyntheticWorkload app(stream);
+        app.Setup(front);
+        for (std::size_t iter = 0; iter < kWarmupIterations; ++iter) {
+            app.Iteration(front, iter, false);
+        }
+        const std::uint64_t tokens_before = front.Stats().tasks_executed;
+        const std::uint64_t pointers_before = front.PointerSum();
+        const auto start = std::chrono::steady_clock::now();
+        for (std::size_t iter = kWarmupIterations;
+             iter < kWarmupIterations + kIterations; ++iter) {
+            app.Iteration(front, iter, false);
+        }
+        const std::chrono::duration<double> elapsed =
+            std::chrono::steady_clock::now() - start;
+        front.Flush();
+
+        const std::uint64_t tokens =
+            front.Stats().tasks_executed - tokens_before;
+        const double rate = static_cast<double>(tokens) / elapsed.count();
+        if (rate > record.tokens_per_sec) {
+            record.tokens_per_sec = rate;
+        }
+        // Everything below is deterministic: equal on every rep.
+        record.tokens = tokens;
+        record.live_pointers_per_token =
+            static_cast<double>(front.PointerSum() - pointers_before) /
+            static_cast<double>(tokens);
+        record.trie_nodes = apophenia.Trie().NumNodes();
+        record.trie_candidates = apophenia.Trie().NumCandidates();
+        record.traces_fired = apophenia.Stats().traces_fired;
+    }
+
+    std::printf("\n# trie matching through Apophenia (seeded S3D-like "
+                "stream, %zu warm-up + %zu iterations)\n",
+                kWarmupIterations, kIterations);
+    std::printf("%-22s %14.0f tokens/sec    (%.1f live pointers/token)\n",
+                "issue path", record.tokens_per_sec,
+                record.live_pointers_per_token);
+    std::printf("%-22s %14zu nodes, %zu candidates\n", "final trie",
+                record.trie_nodes, record.trie_candidates);
+    return record;
+}
+
+std::string TrieMatchJson(const TrieMatchRecord& record)
+{
+    char buf[512];
+    std::snprintf(
+        buf, sizeof buf,
+        "{\n"
+        "    %s,\n"
+        "    \"stream\": \"synthetic S3D-like: 64-launch kernel, 1x4 "
+        "gpus, burst every 10th iteration, seed 2, 300 warm-up + 1500 "
+        "iterations\",\n"
+        "    \"tokens\": %llu,\n"
+        "    \"tokens_per_sec\": %.0f,\n"
+        "    \"live_pointers_per_token\": %.3f,\n"
+        "    \"trie_nodes\": %zu,\n"
+        "    \"trie_candidates\": %zu,\n"
+        "    \"traces_fired\": %llu\n"
+        "  }",
+        apo::bench::ConcurrencyJson().c_str(),
+        static_cast<unsigned long long>(record.tokens),
+        record.tokens_per_sec, record.live_pointers_per_token,
+        record.trie_nodes, record.trie_candidates,
+        static_cast<unsigned long long>(record.traces_fired));
+    return buf;
+}
+
 int RunLaunchPathRecord(const std::string& json_path)
 {
     constexpr std::size_t kTokens = 1u << 19;
@@ -691,6 +844,7 @@ int RunLaunchPathRecord(const std::string& json_path)
     const LogAppendRecord oplog = RunLogAppendRecord();
     const DigestRecord stream_digest = RunDigestRecord();
     const SteadyMiningRecord steady = RunSteadyMiningRecord();
+    const TrieMatchRecord trie_match = RunTrieMatchRecord();
 
     // This bench rewrites its own records wholesale; carry other
     // writers' sections (fig_replication_scaling's merges) across.
@@ -698,7 +852,8 @@ int RunLaunchPathRecord(const std::string& json_path)
         apo::bench::ReadFileOrEmpty(json_path);
     std::string preserved_member;
     for (const char* key :
-         {"replication_scaling", "cluster_parallel", "fig_multitenant"}) {
+         {"replication_scaling", "cluster_parallel", "fig_multitenant",
+          "trie_match"}) {
         const std::string preserved =
             apo::bench::ExtractJsonMember(existing, key);
         if (!preserved.empty()) {
@@ -771,6 +926,11 @@ int RunLaunchPathRecord(const std::string& json_path)
         static_cast<unsigned long long>(steady.incremental.windows),
         steady.identical ? "true" : "false", preserved_member.c_str());
     std::fclose(out);
+    // Merged in place, so the section keeps its slot in the record.
+    if (apo::bench::MergeIntoJson(json_path, "trie_match",
+                                  TrieMatchJson(trie_match)) != 0) {
+        return 1;
+    }
     std::printf("wrote %s\n", json_path.c_str());
     // The equality assert: the record is only acceptable when the
     // engine's candidate sets match from-scratch mining bit for bit

@@ -43,7 +43,7 @@ cmake --build build-tsan -j "$JOBS" --target support_executor_stress_test sim_cl
 # abandonment and the MiningCache waiter-release rendezvous.
 APO_JOBS=8 ctest --test-dir build-tsan -R '^(support_executor_stress_test|sim_cluster_test|core_incremental_test|core_decision_test|svc_service_test|svc_overload_test|fault_checkpoint_test|fault_membership_test)$' --output-on-failure -j "$JOBS"
 
-echo "== perf record: finder launch path + frontend issue path + digest =="
+echo "== perf record: finder launch path + frontend issue path + digest + trie matching =="
 # Snapshot the committed record before the benches overwrite it: the
 # regression gate below compares the fresh run against this baseline.
 BENCH_BASELINE=""
@@ -53,6 +53,11 @@ if [ -f BENCH_micro_repeats.json ]; then
 fi
 if [ -x build/micro_repeats ]; then
     ./build/micro_repeats --json=BENCH_micro_repeats.json
+    if ! grep -q '"trie_match"' BENCH_micro_repeats.json; then
+        echo "error: the trie_match record is missing from" \
+             "BENCH_micro_repeats.json" >&2
+        exit 1
+    fi
 elif [ "${APO_ALLOW_NO_BENCH:-0}" = "1" ]; then
     # Local escape hatch only: without it, a missing bench binary is a
     # CI failure so the perf trajectory cannot quietly stop recording.
@@ -145,8 +150,8 @@ fi
 
 echo "== perf gate: bench_compare vs committed baseline =="
 if [ -x build/bench_compare ] && [ -n "$BENCH_BASELINE" ]; then
-    # The steady_state_mining and fig_multitenant records must exist
-    # (exit 2, never waivable) and no tracked metric may regress >10%
+    # Every --require'd record must exist (exit 2, never waivable)
+    # and no tracked metric may regress >10%
     # against the committed record (exit 1; APO_ALLOW_BENCH_REGRESSION=1
     # waives a *regression* for known-noisy machines, nothing else).
     set +e
@@ -154,7 +159,7 @@ if [ -x build/bench_compare ] && [ -n "$BENCH_BASELINE" ]; then
         --current=BENCH_micro_repeats.json --threshold=0.10 \
         --require=steady_state_mining --require=fig_multitenant \
         --require=decision_cost --require=fig_recovery \
-        --require=fig_overload
+        --require=fig_overload --require=trie_match
     compare_status=$?
     set -e
     if [ "$compare_status" -eq 1 ]; then

@@ -208,6 +208,9 @@ class Apophenia final : public api::Frontend {
     // -- Introspection -------------------------------------------------------
 
     const ApopheniaStats& Stats() const { return stats_; }
+    /** Live match pointers: in-progress candidate matches, each one
+     * trie step per issued token. */
+    std::size_t ActivePointers() const { return active_.size(); }
     const FinderStats& Finder() const { return finder_.Stats(); }
     const CandidateTrie& Trie() const { return trie_; }
     /** Rolling digest of every ingested candidate (tokens +

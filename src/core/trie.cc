@@ -10,21 +10,64 @@ CandidateTrie::CandidateTrie()
     nodes_.emplace_back();  // the root, id 0
 }
 
+std::size_t
+CandidateTrie::Probe(std::uint32_t parent, rt::TokenHash token) const
+{
+    // Token hashes are already well mixed; fold the parent in and mix
+    // once more so small token values, and siblings of different
+    // parents that share a token, still spread over the table.
+    std::uint64_t h = token ^ (parent * 0x9e3779b97f4a7c15ULL);
+    h = (h ^ (h >> 32)) * 0xd6e8feb86659fd93ULL;
+    h ^= h >> 32;
+    const std::size_t mask = extra_edges_.size() - 1;
+    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+        const Edge& slot = extra_edges_[i];
+        if (slot.child == 0 ||
+            (slot.parent == parent && slot.token == token)) {
+            return i;
+        }
+    }
+}
+
+void
+CandidateTrie::AddEdge(Node& node, rt::TokenHash token, std::uint32_t child)
+{
+    node.num_children += 1;
+    if (node.first_child == 0) {
+        node.first_token = token;
+        node.first_child = child;
+        return;
+    }
+    if (2 * (num_extra_edges_ + 1) > extra_edges_.size()) {
+        // Double (from 16) and re-place every edge: load stays <= 1/2.
+        std::vector<Edge> old = std::move(extra_edges_);
+        extra_edges_.assign(std::max<std::size_t>(16, 2 * old.size()),
+                            Edge{});
+        for (const Edge& edge : old) {
+            if (edge.child != 0) {
+                extra_edges_[Probe(edge.parent, edge.token)] = edge;
+            }
+        }
+    }
+    extra_edges_[Probe(node.id, token)] = Edge{token, node.id, child};
+    num_extra_edges_ += 1;
+}
+
 CandidateTrie::Node*
 CandidateTrie::WalkOrCreate(std::span<const rt::TokenHash> tokens)
 {
     Node* node = &nodes_.front();
     for (rt::TokenHash t : tokens) {
-        const auto [it, inserted] =
-            edges_.try_emplace(EdgeKey{node->id, t},
-                               static_cast<std::uint32_t>(nodes_.size()));
-        if (inserted) {
-            Node& child = nodes_.emplace_back();
-            child.id = it->second;
-            child.depth = node->depth + 1;
-            node->num_children += 1;
+        if (const Node* child = Step(node, t)) {
+            node = &nodes_[child->id];
+            continue;
         }
-        node = &nodes_[it->second];
+        const auto id = static_cast<std::uint32_t>(nodes_.size());
+        Node& child = nodes_.emplace_back();
+        child.id = id;
+        child.depth = node->depth + 1;
+        AddEdge(*node, t, id);
+        node = &child;
     }
     return node;
 }
@@ -48,22 +91,21 @@ CandidateTrie::Insert(const std::vector<rt::TokenHash>& tokens,
     return stats;
 }
 
-const CandidateTrie::Node*
-CandidateTrie::Step(const Node* node, rt::TokenHash token) const
-{
-    const std::uint32_t parent = node == nullptr ? 0 : node->id;
-    const auto it = edges_.find(EdgeKey{parent, token});
-    return it == edges_.end() ? nullptr : &nodes_[it->second];
-}
-
 void
 CandidateTrie::SaveState(fault::CheckpointWriter& writer) const
 {
-    // Nodes carry no parent back-pointers; invert the flat edge index
+    // Nodes carry no parent back-pointers; invert both edge levels
     // once so each candidate's token path reads off by walking up.
     std::vector<std::pair<std::uint32_t, rt::TokenHash>> up(nodes_.size());
-    for (const auto& [key, child] : edges_) {
-        up[child] = {key.parent, key.token};
+    for (const Node& node : nodes_) {
+        if (node.first_child != 0) {
+            up[node.first_child] = {node.id, node.first_token};
+        }
+    }
+    for (const Edge& edge : extra_edges_) {
+        if (edge.child != 0) {
+            up[edge.child] = {edge.parent, edge.token};
+        }
     }
     writer.BeginSection(fault::SectionTag::kCandidateTrie);
     writer.U64(next_id_);

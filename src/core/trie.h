@@ -10,11 +10,15 @@
  * candidate has matched that candidate's full token sequence.
  *
  * The trie is stored flat: nodes live in a pooled deque (stable
- * addresses, no per-node allocation beyond candidate stats) and all
- * edges live in a single (parent id, token) -> child index hash map.
- * Advancing a match pointer is one probe of that flat index — there is
- * no per-node child container to allocate or chase, which keeps the
- * per-token replayer step allocation-free.
+ * addresses, no per-node allocation beyond candidate stats) and edges
+ * live in two levels. Mined candidates make the trie almost entirely
+ * single-child chains, so each node holds its first child edge inline
+ * (token and child id); only the second and later children of a
+ * branching node go into one open-addressing, linear-probing edge
+ * table keyed by (parent id, token). Advancing a match pointer along a
+ * chain is a compare against the node it already points at; only a
+ * branching node probes the table. The table only grows on ingestion
+ * (Insert, LoadState), so the per-token replayer step never allocates.
  *
  * Each candidate carries the statistics the scoring function uses:
  * score = length × min(count, cap) with the count exponentially
@@ -29,14 +33,12 @@
 #include <deque>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.h"
 #include "fault/checkpoint.h"
 #include "runtime/task.h"
 #include "runtime/trace.h"
-#include "support/hash.h"
 
 namespace apo::core {
 
@@ -76,6 +78,10 @@ class CandidateTrie {
         std::uint32_t id = 0;
         /** Outgoing-edge count; a leaf cannot extend any match. */
         std::uint32_t num_children = 0;
+        /** Token of the first child edge (valid iff first_child != 0). */
+        rt::TokenHash first_token = 0;
+        /** Id of the first child, 0 for none (the root is no child). */
+        std::uint32_t first_child = 0;
 
         bool HasChildren() const { return num_children != 0; }
     };
@@ -94,7 +100,21 @@ class CandidateTrie {
 
     /** Child of `node` (or of the root if null) along `token`;
      * nullptr if no candidate continues this way. */
-    const Node* Step(const Node* node, rt::TokenHash token) const;
+    const Node* Step(const Node* node, rt::TokenHash token) const
+    {
+        const Node& from = node == nullptr ? nodes_.front() : *node;
+        if (from.first_child == 0) {
+            return nullptr;  // a leaf
+        }
+        if (from.first_token == token) {
+            return &nodes_[from.first_child];
+        }
+        if (from.num_children == 1) {
+            return nullptr;  // a chain link: its only edge missed
+        }
+        const Edge& slot = extra_edges_[Probe(from.id, token)];
+        return slot.child == 0 ? nullptr : &nodes_[slot.child];
+    }
 
     /** Stats of the candidate ending at `node`, or nullptr. */
     static CandidateStats* CandidateAt(const Node* node)
@@ -124,26 +144,25 @@ class CandidateTrie {
      * shared path step of Insert and LoadState). */
     Node* WalkOrCreate(std::span<const rt::TokenHash> tokens);
 
-    /** One edge of the flat child index. */
-    struct EdgeKey {
-        std::uint32_t parent = 0;
+    /** One slot of the extra-edge table; child 0 marks it empty. */
+    struct Edge {
         rt::TokenHash token = 0;
+        std::uint32_t parent = 0;
+        std::uint32_t child = 0;
+    };
 
-        bool operator==(const EdgeKey&) const = default;
-    };
-    struct EdgeKeyHash {
-        std::size_t operator()(const EdgeKey& k) const
-        {
-            return static_cast<std::size_t>(
-                support::HashCombine(support::SplitMix64(k.parent),
-                                     k.token));
-        }
-    };
+    /** Slot of (parent, token) in the extra-edge table: either the
+     * slot holding that edge or the empty slot ending its probe run.
+     * Requires a non-empty table. */
+    std::size_t Probe(std::uint32_t parent, rt::TokenHash token) const;
+    /** Add the edge node --token--> child (known to be absent). */
+    void AddEdge(Node& node, rt::TokenHash token, std::uint32_t child);
 
     /** Node pool; deque keeps addresses stable across growth. */
     std::deque<Node> nodes_;
-    /** The flat child index: (parent id, token) -> child id. */
-    std::unordered_map<EdgeKey, std::uint32_t, EdgeKeyHash> edges_;
+    /** Every edge but a node's first; power-of-two size, load <= 1/2. */
+    std::vector<Edge> extra_edges_;
+    std::size_t num_extra_edges_ = 0;
     std::size_t num_candidates_ = 0;
     std::uint64_t next_id_ = 1;
 };

@@ -155,7 +155,10 @@ void
 LogObserver::Consume(const rt::OpView& op)
 {
     traced_.Consume(op);
-    digest_.Consume(op);
+    if (cluster_ == nullptr) {
+        // A cluster digests node 0 itself (Finish reads NodeDigest).
+        digest_.Consume(op);
+    }
     if (!reducer_) {
         sim_->Consume(op);
         return;
@@ -220,6 +223,7 @@ Summarize(const ObservedLog& observed,
         result.mining_repairs += finder.mining_repairs;
         result.mining_full += finder.mining_full;
         result.mining_cache_hits += finder.mining_cache_hits;
+        result.mining_cache_cross_hits += finder.mining_cache_cross_hits;
     };
     if (engine != nullptr) {
         result.apophenia_stats = engine->Stats();

@@ -160,6 +160,10 @@ struct ExperimentResult {
      * windows certifies each distinct window was mined once
      * cluster-wide. */
     std::uint64_t mining_cache_hits = 0;
+    /** The subset of mining_cache_hits published under another token
+     * namespace (another tenant's mining), summed over the same
+     * finders. */
+    std::uint64_t mining_cache_cross_hits = 0;
     std::uint64_t mining_cache_misses = 0;
     std::size_t mining_cache_windows = 0;
     /** Incremental-mining tier counters over ingested jobs, summed

@@ -673,8 +673,7 @@ TraceService::AssembleResults(std::uint64_t virtual_time)
                       static_cast<double>(front.traces_fired);
         stats.trace_cache_evictions = experiment.trace_cache_evictions;
         stats.mining_cache_hits = experiment.mining_cache_hits;
-        stats.cross_tenant_mining_hits =
-            TenantEngine(t).Finder().mining_cache_cross_hits;
+        stats.cross_tenant_mining_hits = experiment.mining_cache_cross_hits;
         stats.p50_issue_latency = tenant.latencies.Percentile(0.50);
         stats.p99_issue_latency = tenant.latencies.Percentile(0.99);
         stats.p50_issue_wall_us = tenant.wall_ns.Percentile(0.50) / 1000.0;

@@ -133,12 +133,33 @@ class BenchCompareTool : public ::testing::Test {
         return path;
     }
 
-    int Run(const CompareOptions& options)
+    int Run(const CompareOptions& options, std::string* output = nullptr)
     {
         std::FILE* sink = std::tmpfile();
         const int code = RunBenchCompare(options, sink, sink);
+        if (output != nullptr) {
+            output->clear();
+            std::rewind(sink);
+            char buf[256];
+            while (std::fgets(buf, sizeof buf, sink) != nullptr) {
+                *output += buf;
+            }
+        }
         std::fclose(sink);
         return code;
+    }
+
+    static int CountLines(const std::string& text, const std::string& prefix)
+    {
+        int lines = 0;
+        for (std::size_t at = 0; at < text.size();) {
+            if (text.compare(at, prefix.size(), prefix) == 0) {
+                ++lines;
+            }
+            const std::size_t next = text.find('\n', at);
+            at = next == std::string::npos ? text.size() : next + 1;
+        }
+        return lines;
     }
 };
 
@@ -209,6 +230,53 @@ TEST_F(BenchCompareTool, MetricFilterRestrictsComparison)
     EXPECT_EQ(Run(options), 1);  // b regressed
     options.metrics = {"a."};    // ...but it is filtered out
     EXPECT_EQ(Run(options), 0);
+}
+
+TEST_F(BenchCompareTool, HostMismatchIsReportedOnce)
+{
+    CompareOptions options;
+    options.baseline_path = WriteRecord(
+        "base_host",
+        R"({"hardware_concurrency": 1, "m": {"tokens_per_sec": 100},
+            "n": {"hardware_concurrency": 1}})");
+    options.current_path = WriteRecord(
+        "cur_host",
+        R"({"hardware_concurrency": 4, "m": {"tokens_per_sec": 100},
+            "n": {"hardware_concurrency": 4}})");
+    std::string output;
+    EXPECT_EQ(Run(options, &output), 0);
+    EXPECT_EQ(CountLines(output, "host mismatch: "), 1) << output;
+    EXPECT_NE(output.find("host mismatch: baseline "
+                          "hardware_concurrency=1, current=4\n"),
+              std::string::npos)
+        << output;
+
+    // The same host (or a record without the key) prints nothing.
+    options.current_path = options.baseline_path;
+    EXPECT_EQ(Run(options, &output), 0);
+    EXPECT_EQ(CountLines(output, "host mismatch"), 0) << output;
+    options.current_path =
+        WriteRecord("cur_nohost", R"({"m": {"tokens_per_sec": 100}})");
+    EXPECT_EQ(Run(options, &output), 0);
+    EXPECT_EQ(CountLines(output, "host mismatch"), 0) << output;
+}
+
+TEST_F(BenchCompareTool, HostMismatchLeavesExitCodesAlone)
+{
+    CompareOptions options;
+    options.baseline_path = WriteRecord(
+        "base_host_reg",
+        R"({"hardware_concurrency": 1, "m": {"tokens_per_sec": 100}})");
+    options.current_path = WriteRecord(
+        "cur_host_reg",
+        R"({"hardware_concurrency": 8, "m": {"tokens_per_sec": 80}})");
+    std::string output;
+    EXPECT_EQ(Run(options, &output), 1);  // still a regression
+    EXPECT_EQ(CountLines(output, "host mismatch: "), 1) << output;
+    options.threshold = 0.25;
+    EXPECT_EQ(Run(options), 0);  // same threshold rule
+    options.required = {"trie_match"};
+    EXPECT_EQ(Run(options), 2);  // same --require rule
 }
 
 TEST_F(BenchCompareTool, UnreadableFileIsExitTwo)

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -435,6 +436,97 @@ TEST(CheckpointCorruption, SaveRequiresQuiescentRuntime)
     EXPECT_FALSE(runtime.Quiescent());
     fault::CheckpointWriter writer;
     EXPECT_THROW(runtime.SaveState(writer), fault::CheckpointError);
+}
+
+/** A front end stepped through an s3d prefix until at least two
+ * match pointers are live, saved alone (its own, finder and trie
+ * sections). */
+std::vector<std::uint8_t> MidMatchFrontEndImage()
+{
+    apps::MachineConfig machine{.nodes = 2, .gpus_per_node = 2};
+    const std::vector<RecordedCall> program =
+        RecordProgram<apps::S3dApplication>(
+            apps::S3dOptions{.machine = machine}, 30);
+    rt::RuntimeOptions rt_options;
+    rt_options.nodes = machine.nodes;
+    Stack stack(rt_options, SmallConfig(), /*streaming=*/false);
+    CallReplayer replayer(*stack.apophenia, program);
+    while (!replayer.Done() && stack.apophenia->ActivePointers() < 2) {
+        replayer.Step();
+    }
+    EXPECT_GE(stack.apophenia->ActivePointers(), 2u);
+    fault::CheckpointWriter writer;
+    stack.apophenia->SaveState(writer);
+    return writer.TakeImage();
+}
+
+/** Rewrite the first two match-pointer starts of the front end's
+ * (first) section with `edit`, re-sealing the section checksum so
+ * only the match state is wrong. */
+template <typename Edit>
+std::vector<std::uint8_t> EditPointerStarts(std::vector<std::uint8_t> image,
+                                            Edit edit)
+{
+    // Image header (16 bytes), then the section's tag, length and
+    // checksum words, then its payload of 64-bit words.
+    constexpr std::size_t kPayload = 16 + 24;
+    const auto word = [&](std::size_t i) {
+        std::uint64_t v = 0;
+        std::memcpy(&v, image.data() + kPayload + 8 * i, 8);
+        return v;
+    };
+    const auto set = [&](std::size_t i, std::uint64_t v) {
+        std::memcpy(image.data() + kPayload + 8 * i, &v, 8);
+    };
+    // 15 counters/stats, then the pending tasks: token, task,
+    // requirement count, 4 words a requirement, execution time,
+    // shard, blocking, traceable.
+    std::size_t at = 15;
+    const std::uint64_t pending = word(at++);
+    for (std::uint64_t t = 0; t < pending; ++t) {
+        at += 3 + 4 * word(at + 2) + 4;
+    }
+    EXPECT_GE(word(at), 2u);  // the active-pointer count
+    std::uint64_t first = word(at + 1);
+    std::uint64_t second = word(at + 2);
+    edit(first, second, word(1));  // word 1: the pending base
+    set(at + 1, first);
+    set(at + 2, second);
+    std::uint64_t length = 0;
+    std::memcpy(&length, image.data() + 24, 8);
+    const std::uint64_t checksum = fault::ChecksumBytes(
+        std::span<const std::uint8_t>(image.data() + kPayload, length));
+    std::memcpy(image.data() + 32, &checksum, 8);
+    return image;
+}
+
+void ExpectFrontEndRejects(const std::vector<std::uint8_t>& image)
+{
+    rt::Runtime runtime;
+    core::Apophenia apophenia(runtime, SmallConfig());
+    fault::CheckpointReader reader(image);
+    EXPECT_THROW(apophenia.LoadState(reader), fault::CheckpointError);
+}
+
+TEST(CheckpointCorruption, MatchPointersMustBeOrderedAndBuffered)
+{
+    const std::vector<std::uint8_t> image = MidMatchFrontEndImage();
+    {
+        // The unedited image restores.
+        rt::Runtime runtime;
+        core::Apophenia apophenia(runtime, SmallConfig());
+        fault::CheckpointReader reader(image);
+        apophenia.LoadState(reader);
+        EXPECT_GE(apophenia.ActivePointers(), 2u);
+    }
+    ExpectFrontEndRejects(EditPointerStarts(
+        image, [](std::uint64_t& a, std::uint64_t& b, std::uint64_t) {
+            std::swap(a, b);  // out of start order
+        }));
+    ExpectFrontEndRejects(EditPointerStarts(
+        image, [](std::uint64_t& a, std::uint64_t&, std::uint64_t base) {
+            a = base - 1;  // before the buffered tasks
+        }));
 }
 
 TEST(CheckpointCorruption, LoadRequiresFreshTargets)

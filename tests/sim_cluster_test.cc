@@ -413,6 +413,10 @@ void ExpectStreamingMatchesRetained(Options app_options,
     EXPECT_EQ(streaming.coordination.final_slack,
               retained.coordination.final_slack);
     EXPECT_EQ(streaming.log_retired_ops, streaming.total_tasks);
+    // The observer leaves node 0's digest to the cluster in both modes.
+    EXPECT_EQ(streaming.stream_digest, retained.stream_digest);
+    EXPECT_EQ(streaming.stream_digest_ops, retained.stream_digest_ops);
+    EXPECT_EQ(streaming.stream_digest_ops, streaming.total_tasks);
 
     // Streaming under a straggler: still safe, still streams.
     options.skew.kind = SkewKind::kStraggler;

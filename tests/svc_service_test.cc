@@ -783,6 +783,48 @@ TEST(ReplicatedTenant, CrossTenantSharingComposesWithReplication)
               result.tenants[1].trace_cache_hit_rate);
 }
 
+TEST(ReplicatedTenant, PerNodeCrossTenantHitsSumOverEveryFinder)
+{
+    // A per-node replicated tenant mines on every node's own finder,
+    // so its cross-tenant hits, like its cache hits, are the sum over
+    // all of them — not the deciding node's alone.
+    svc::ServiceOptions service_options;
+    service_options.config = TestConfig();
+    service_options.config.shared_decisions = false;
+    service_options.replication.seed = 7;
+    svc::TraceService service(service_options);
+    svc::SyntheticWorkload a(Synthetic(7));
+    svc::SyntheticWorkload b(Synthetic(7));
+    svc::TenantOptions tenant;
+    tenant.iterations = 25;
+    tenant.name = "flat";
+    tenant.app = &a;
+    service.AddTenant(tenant);
+    tenant.name = "wide";
+    tenant.app = &b;
+    tenant.replicas = 3;
+    service.AddTenant(tenant);
+    const svc::ServiceResult result = service.Run();
+
+    const sim::Cluster* cluster = service.TenantCluster(1);
+    ASSERT_NE(cluster, nullptr);
+    ASSERT_FALSE(cluster->SharedDecisions());
+    std::uint64_t cross = 0;
+    std::uint64_t node0_cross = 0;
+    for (std::size_t n = 0; n < cluster->Nodes(); ++n) {
+        cross += cluster->Node(n).Finder().mining_cache_cross_hits;
+        if (n == 0) {
+            node0_cross = cross;
+        }
+    }
+    const svc::TenantStats& wide = result.tenants[1];
+    EXPECT_GT(cross, node0_cross);  // the case the sum is about
+    EXPECT_EQ(wide.cross_tenant_mining_hits, cross);
+    EXPECT_LE(wide.cross_tenant_mining_hits, wide.mining_cache_hits);
+    EXPECT_LE(result.tenants[0].cross_tenant_mining_hits,
+              result.tenants[0].mining_cache_hits);
+}
+
 TEST(ReplicatedTenant, MixesWithUnreplicatedTenants)
 {
     svc::ServiceOptions service_options;
