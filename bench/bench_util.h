@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/app.h"
@@ -93,6 +94,44 @@ inline std::string ExtractJsonMember(const std::string& content,
         return "";
     }
     return content.substr(begin, end - begin);
+}
+
+/** The object-valued members of a JSON object's top level, in order,
+ * as (key, value text with braces) pairs. Scalar and array members
+ * are skipped. */
+inline std::vector<std::pair<std::string, std::string>> TopLevelObjectMembers(
+    const std::string& content)
+{
+    std::vector<std::pair<std::string, std::string>> members;
+    std::string key;
+    std::size_t value_begin = 0;
+    int depth = 0;
+    for (std::size_t i = 0; i < content.size(); ++i) {
+        const char c = content[i];
+        if (c == '"') {
+            std::size_t close = i + 1;
+            while (close < content.size() && content[close] != '"') {
+                close += content[close] == '\\' ? 2 : 1;
+            }
+            if (depth == 1) {
+                // The last depth-1 string before a value's '{' is its key.
+                key = content.substr(i + 1, close - i - 1);
+            }
+            i = close;
+        } else if (c == '{' || c == '[') {
+            if (depth == 1 && c == '{') {
+                value_begin = i;
+            }
+            ++depth;
+        } else if (c == '}' || c == ']') {
+            --depth;
+            if (depth == 1 && c == '}') {
+                members.emplace_back(
+                    key, content.substr(value_begin, i + 1 - value_begin));
+            }
+        }
+    }
+    return members;
 }
 
 /** Erase the member plus its separating comma (the preceding one when

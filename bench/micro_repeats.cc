@@ -1,7 +1,7 @@
 /**
  * @file
  * Section 4.2 microbenchmarks: the repeat-mining algorithm's
- * O(n log n) scaling, the suffix-array constructions, the quadratic
+ * scaling, the suffix-array constructions, the quadratic
  * baseline for contrast — and the finder's application-thread launch
  * path, where the zero-copy history snapshots earn their keep.
  *
@@ -13,7 +13,9 @@
  * pays per token: with zero-copy snapshots that is O(slice/block)
  * reference bumps per job. The trie_match section measures the
  * replayer's other per-token cost, advancing every live match pointer
- * through the candidate trie. The results are recorded to
+ * through the candidate trie, and the repeat_ranking section times the
+ * mining job's candidate-ranking stage alone (FindRepeatsFromSa over a
+ * prebuilt suffix array). The results are recorded to
  * BENCH_micro_repeats.json so successive PRs keep a perf trajectory.
  *
  * Usage:
@@ -44,7 +46,9 @@
 #include "strings/repeats.h"
 #include "strings/suffix_array.h"
 #include "support/executor.h"
+#include "support/hash.h"
 #include "support/rng.h"
+#include "support/ruler.h"
 #include "svc/workload.h"
 
 #include "support/counting_allocator.h"
@@ -738,18 +742,24 @@ struct TrieMatchRecord {
     std::uint64_t traces_fired = 0;
 };
 
-TrieMatchRecord RunTrieMatchRecord()
-{
-    constexpr std::uint64_t kSeed = 2;
-    constexpr std::size_t kWarmupIterations = 300;
-    constexpr std::size_t kIterations = 1500;
-    constexpr int kReps = 5;
+/** trie_match's stream, shared with the repeat_ranking record. */
+constexpr std::size_t kWarmupIterations = 300;
+constexpr std::size_t kIterations = 1500;
 
+svc::SyntheticOptions S3dLikeStream()
+{
     svc::SyntheticOptions stream;
     stream.machine = apps::MachineConfig{.nodes = 1, .gpus_per_node = 4};
-    stream.seed = kSeed;
+    stream.seed = 2;
     stream.kernel_tasks = 64;
     stream.noise_interval = 10;
+    return stream;
+}
+
+TrieMatchRecord RunTrieMatchRecord()
+{
+    constexpr int kReps = 5;
+    const svc::SyntheticOptions stream = S3dLikeStream();
 
     TrieMatchRecord record;
     for (int rep = 0; rep < kReps; ++rep) {
@@ -825,6 +835,159 @@ std::string TrieMatchJson(const TrieMatchRecord& record)
     return buf;
 }
 
+// ---------------------------------------------------------------------------
+// Repeat ranking alone (the linear-time ranking claim).
+//
+// strings::FindRepeatsFromSa — candidate generation, ranking and greedy
+// selection — timed without suffix construction, over the windows the
+// multi-scale finder mines under the artifact config (a window every
+// 250 tokens, ruler-scheduled lengths up to 5000 tokens) on
+// trie_match's seeded S3D-like stream. The digest folds every window's
+// repeat set and must equal the from-scratch FindRepeats path's.
+
+struct RepeatRankingRecord {
+    double tokens_per_sec = 0.0;
+    std::uint64_t windows = 0;
+    std::uint64_t tokens = 0;
+    double repeats_per_window = 0.0;
+    std::uint64_t digest = 0;
+    bool identical = false;
+};
+
+/** Fold one window's repeat set (tokens and starts) into `digest`. */
+std::uint64_t FoldRepeats(std::uint64_t digest,
+                          const std::vector<strings::Repeat>& repeats)
+{
+    for (const strings::Repeat& r : repeats) {
+        digest = support::HashCombine(digest, r.tokens.size());
+        for (const strings::Symbol token : r.tokens) {
+            digest = support::HashCombine(digest, token);
+        }
+        for (const std::size_t start : r.starts) {
+            digest = support::HashCombine(digest, start);
+        }
+    }
+    return support::HashCombine(digest, repeats.size());
+}
+
+RepeatRankingRecord RunRepeatRankingRecord()
+{
+    constexpr int kReps = 5;
+    const core::ApopheniaConfig config = bench::ArtifactConfig();
+    const strings::RepeatOptions options{
+        .min_length = config.min_trace_length, .min_occurrences = 2};
+
+    // The issued token stream, read off the runtime's retired log.
+    std::vector<strings::Symbol> stream;
+    {
+        rt::Runtime runtime;
+        runtime.EnableLogStreaming(
+            [&](const rt::OpView& op) { stream.push_back(op.token); });
+        api::UntracedFrontend front(runtime);
+        svc::SyntheticWorkload app(S3dLikeStream());
+        app.Setup(front);
+        for (std::size_t iter = 0; iter < kWarmupIterations + kIterations;
+             ++iter) {
+            app.Iteration(front, iter, false);
+        }
+        front.Flush();
+        runtime.DrainLogStream();
+    }
+    // The finder's multi-scale windows (anchored windows depend on
+    // replay decisions and are left out).
+    std::vector<std::span<const strings::Symbol>> windows;
+    std::uint64_t k = 0;
+    for (std::size_t end = config.multi_scale_factor; end <= stream.size();
+         end += config.multi_scale_factor) {
+        const std::size_t len = std::min(
+            support::RulerSampleLength(++k, config.multi_scale_factor,
+                                       config.batchsize),
+            end);
+        if (strings::RepeatsViable(len, options)) {
+            windows.emplace_back(stream.data() + end - len, len);
+        }
+    }
+
+    RepeatRankingRecord record;
+    std::uint64_t reference = 0;
+    std::uint64_t repeats = 0;
+    for (const auto& window : windows) {
+        const std::vector<strings::Repeat> found = strings::FindRepeats(
+            strings::Sequence(window.begin(), window.end()), options);
+        reference = FoldRepeats(reference, found);
+        repeats += found.size();
+        record.tokens += window.size();
+    }
+    record.windows = windows.size();
+    record.repeats_per_window =
+        static_cast<double>(repeats) / static_cast<double>(windows.size());
+
+    strings::RepeatsScratch scratch;
+    strings::SuffixWorkspace workspace;
+    std::vector<std::size_t> sa, lcp, inverse;
+    std::vector<strings::Repeat> out;
+    for (int rep = 0; rep < kReps; ++rep) {
+        std::uint64_t digest = 0;
+        std::chrono::steady_clock::duration ranking{};
+        for (const auto& window : windows) {
+            strings::BuildSuffixArrayInto(window, sa, workspace);
+            strings::ComputeLcpInto(window, sa, lcp, inverse);
+            const auto start = std::chrono::steady_clock::now();
+            strings::FindRepeatsFromSa(window, sa, lcp, options, scratch, out);
+            ranking += std::chrono::steady_clock::now() - start;
+            digest = FoldRepeats(digest, out);
+        }
+        const double rate =
+            static_cast<double>(record.tokens) /
+            std::chrono::duration<double>(ranking).count();
+        record.tokens_per_sec = std::max(record.tokens_per_sec, rate);
+        record.digest = digest;
+    }
+    record.identical = record.digest == reference;
+
+    std::printf("\n# repeat ranking (FindRepeatsFromSa only, %llu "
+                "multi-scale windows of the trie_match stream)\n",
+                static_cast<unsigned long long>(record.windows));
+    std::printf("%-22s %14.0f tokens/sec    (%.1f repeats/window)\n",
+                "ranking + selection", record.tokens_per_sec,
+                record.repeats_per_window);
+    if (!record.identical) {
+        std::fprintf(stderr,
+                     "repeat_ranking: repeat sets DIFFER from the "
+                     "from-scratch FindRepeats path (digest %llx vs "
+                     "%llx)\n",
+                     static_cast<unsigned long long>(record.digest),
+                     static_cast<unsigned long long>(reference));
+    }
+    return record;
+}
+
+std::string RepeatRankingJson(const RepeatRankingRecord& record)
+{
+    char buf[768];
+    std::snprintf(
+        buf, sizeof buf,
+        "{\n"
+        "    %s,\n"
+        "    \"windows\": \"the multi-scale windows (every 250 tokens, "
+        "ruler lengths up to 5000, min length 25) of the trie_match "
+        "stream\",\n"
+        "    \"window_count\": %llu,\n"
+        "    \"tokens\": %llu,\n"
+        "    \"tokens_per_sec\": %.0f,\n"
+        "    \"repeats_per_window\": %.3f,\n"
+        "    \"digest\": \"%016llx\",\n"
+        "    \"repeat_sets_identical\": %s\n"
+        "  }",
+        apo::bench::ConcurrencyJson().c_str(),
+        static_cast<unsigned long long>(record.windows),
+        static_cast<unsigned long long>(record.tokens),
+        record.tokens_per_sec, record.repeats_per_window,
+        static_cast<unsigned long long>(record.digest),
+        record.identical ? "true" : "false");
+    return buf;
+}
+
 int RunLaunchPathRecord(const std::string& json_path)
 {
     constexpr std::size_t kTokens = 1u << 19;
@@ -846,19 +1009,20 @@ int RunLaunchPathRecord(const std::string& json_path)
     const SteadyMiningRecord steady = RunSteadyMiningRecord();
     const TrieMatchRecord trie_match = RunTrieMatchRecord();
 
-    // This bench rewrites its own records wholesale; carry other
-    // writers' sections (fig_replication_scaling's merges) across.
+    const RepeatRankingRecord ranking = RunRepeatRankingRecord();
+
+    // This bench rewrites its own head members; every other section
+    // of the record (the figure binaries' merges, and its own
+    // sections, refreshed in place below) is carried over in order.
     const std::string existing =
         apo::bench::ReadFileOrEmpty(json_path);
     std::string preserved_member;
-    for (const char* key :
-         {"replication_scaling", "cluster_parallel", "fig_multitenant",
-          "trie_match"}) {
-        const std::string preserved =
-            apo::bench::ExtractJsonMember(existing, key);
-        if (!preserved.empty()) {
-            preserved_member +=
-                ",\n  \"" + std::string(key) + "\": " + preserved;
+    for (const auto& [key, value] :
+         apo::bench::TopLevelObjectMembers(existing)) {
+        if (key != "config" && key != "issue_path" &&
+            key != "oplog_append" && key != "stream_digest" &&
+            key != "steady_state_mining") {
+            preserved_member += ",\n  \"" + key + "\": " + value;
         }
     }
 
@@ -928,14 +1092,18 @@ int RunLaunchPathRecord(const std::string& json_path)
     std::fclose(out);
     // Merged in place, so the section keeps its slot in the record.
     if (apo::bench::MergeIntoJson(json_path, "trie_match",
-                                  TrieMatchJson(trie_match)) != 0) {
+                                  TrieMatchJson(trie_match)) != 0 ||
+        apo::bench::MergeIntoJson(json_path, "repeat_ranking",
+                                  RepeatRankingJson(ranking)) != 0) {
         return 1;
     }
     std::printf("wrote %s\n", json_path.c_str());
-    // The equality assert: the record is only acceptable when the
-    // engine's candidate sets match from-scratch mining bit for bit
-    // and the hot fast path allocates nothing.
-    if (!steady.identical || steady.allocs_per_window != 0.0) {
+    // The equality asserts: the record is only acceptable when the
+    // engine's candidate sets match from-scratch mining bit for bit,
+    // the hot fast path allocates nothing, and the ranking-only path
+    // reproduces the from-scratch repeat sets.
+    if (!steady.identical || steady.allocs_per_window != 0.0 ||
+        !ranking.identical) {
         return 1;
     }
     return 0;

@@ -43,7 +43,7 @@ cmake --build build-tsan -j "$JOBS" --target support_executor_stress_test sim_cl
 # abandonment and the MiningCache waiter-release rendezvous.
 APO_JOBS=8 ctest --test-dir build-tsan -R '^(support_executor_stress_test|sim_cluster_test|core_incremental_test|core_decision_test|svc_service_test|svc_overload_test|fault_checkpoint_test|fault_membership_test)$' --output-on-failure -j "$JOBS"
 
-echo "== perf record: finder launch path + frontend issue path + digest + trie matching =="
+echo "== perf record: finder launch path + frontend issue path + digest + trie matching + repeat ranking =="
 # Snapshot the committed record before the benches overwrite it: the
 # regression gate below compares the fresh run against this baseline.
 BENCH_BASELINE=""
@@ -55,6 +55,11 @@ if [ -x build/micro_repeats ]; then
     ./build/micro_repeats --json=BENCH_micro_repeats.json
     if ! grep -q '"trie_match"' BENCH_micro_repeats.json; then
         echo "error: the trie_match record is missing from" \
+             "BENCH_micro_repeats.json" >&2
+        exit 1
+    fi
+    if ! grep -q '"repeat_ranking"' BENCH_micro_repeats.json; then
+        echo "error: the repeat_ranking record is missing from" \
              "BENCH_micro_repeats.json" >&2
         exit 1
     fi
@@ -159,7 +164,8 @@ if [ -x build/bench_compare ] && [ -n "$BENCH_BASELINE" ]; then
         --current=BENCH_micro_repeats.json --threshold=0.10 \
         --require=steady_state_mining --require=fig_multitenant \
         --require=decision_cost --require=fig_recovery \
-        --require=fig_overload --require=trie_match
+        --require=fig_overload --require=trie_match \
+        --require=repeat_ranking
     compare_status=$?
     set -e
     if [ "$compare_status" -eq 1 ]; then

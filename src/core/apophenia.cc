@@ -428,25 +428,30 @@ Apophenia::LoadState(fault::CheckpointReader& reader)
         throw fault::CheckpointError(
             "Apophenia::LoadState requires a fresh front-end");
     }
+    // The whole image is parsed and checked before any member changes,
+    // so a rejected image leaves this front end fresh. The front end's
+    // own state and the trie are read into locals; the finder (which
+    // cannot be built aside and moved in) first restores a scratch
+    // finder, and only then re-reads the same bytes into finder_.
     reader.BeginSection(fault::SectionTag::kApophenia);
-    counter_ = reader.U64();
-    pending_base_ = reader.U64();
-    next_trace_id_ = reader.U64();
-    candidate_digest_ = reader.U64();
-    stats_.tasks_observed = reader.U64();
-    stats_.tasks_forwarded_traced = reader.U64();
-    stats_.tasks_forwarded_untraced = reader.U64();
-    stats_.traces_fired = reader.U64();
-    stats_.trace_records = reader.U64();
-    stats_.trace_replays = reader.U64();
-    stats_.jobs_ingested = reader.U64();
-    stats_.candidates_ingested = reader.U64();
-    stats_.forced_flushes = reader.U64();
-    stats_.launches_buffered = reader.U64();
-    stats_.pending_high_water = reader.U64();
-    const std::uint64_t pending = reader.U64();
-    for (std::uint64_t i = 0; i < pending; ++i) {
-        PendingTask task;
+    const std::uint64_t counter = reader.U64();
+    const std::uint64_t pending_base = reader.U64();
+    const rt::TraceId next_trace_id = reader.U64();
+    const std::uint64_t candidate_digest = reader.U64();
+    ApopheniaStats stats = stats_;
+    stats.tasks_observed = reader.U64();
+    stats.tasks_forwarded_traced = reader.U64();
+    stats.tasks_forwarded_untraced = reader.U64();
+    stats.traces_fired = reader.U64();
+    stats.trace_records = reader.U64();
+    stats.trace_replays = reader.U64();
+    stats.jobs_ingested = reader.U64();
+    stats.candidates_ingested = reader.U64();
+    stats.forced_flushes = reader.U64();
+    stats.launches_buffered = reader.U64();
+    stats.pending_high_water = reader.U64();
+    std::deque<PendingTask> pending(reader.U64());
+    for (PendingTask& task : pending) {
         task.token = reader.U64();
         task.launch.task = reader.U64();
         const std::uint64_t reqs = reader.U64();
@@ -463,7 +468,6 @@ Apophenia::LoadState(fault::CheckpointReader& reader)
         task.launch.shard = static_cast<std::uint32_t>(reader.U64());
         task.launch.blocking = reader.Bool();
         task.launch.traceable = reader.Bool();
-        pending_.push_back(std::move(task));
     }
     std::vector<std::uint64_t> active_starts(reader.U64());
     for (std::uint64_t& start : active_starts) {
@@ -476,50 +480,76 @@ Apophenia::LoadState(fault::CheckpointReader& reader)
         end = reader.U64();
     }
     reader.EndSection();
-    finder_.LoadState(reader);
-    trie_.LoadState(reader);
+    fault::CheckpointReader finder_reader = reader;
+    {
+        TraceFinder scratch_finder(config_, default_executor_);
+        scratch_finder.LoadState(reader);
+    }
+    CandidateTrie trie;
+    trie.LoadState(reader);
 
-    // Re-walk the restored trie over the buffered tokens. Every live
+    // Re-walk a restored trie over the buffered tokens. Every live
     // match spans traceable launches only (an untraceable launch's
     // unique per-occurrence mining token kills every pointer), so the
     // buffered real tokens are exactly the tokens the pointers were
     // advanced with.
-    const auto walk = [&](std::uint64_t from, std::uint64_t to) {
-        if (from < pending_base_ || from >= to ||
-            to - pending_base_ > pending_.size()) {
-            throw fault::CheckpointError(
-                "checkpoint match range lies outside the buffered "
-                "tasks");
-        }
-        const CandidateTrie::Node* node = nullptr;
-        for (std::uint64_t i = from; i < to; ++i) {
-            node = trie_.Step(node, pending_[i - pending_base_].token);
-            if (node == nullptr) {
+    const auto restore_matches = [&](const CandidateTrie& restored,
+                                     std::vector<ActivePointer>& active,
+                                     std::deque<CompletedMatch>& held) {
+        const auto walk = [&](std::uint64_t from, std::uint64_t to) {
+            if (from < pending_base || from >= to ||
+                to - pending_base > pending.size()) {
                 throw fault::CheckpointError(
-                    "checkpoint match state does not re-walk the "
+                    "checkpoint match range lies outside the buffered "
+                    "tasks");
+            }
+            const CandidateTrie::Node* node = nullptr;
+            for (std::uint64_t i = from; i < to; ++i) {
+                node = restored.Step(node, pending[i - pending_base].token);
+                if (node == nullptr) {
+                    throw fault::CheckpointError(
+                        "checkpoint match state does not re-walk the "
+                        "restored trie");
+                }
+            }
+            return node;
+        };
+        for (const std::uint64_t start : active_starts) {
+            // MaybeFire relies on active_ being sorted by start.
+            if (!active.empty() && start <= active.back().start) {
+                throw fault::CheckpointError(
+                    "checkpoint match pointers are not in start order");
+            }
+            active.push_back(ActivePointer{walk(start, counter), start});
+        }
+        for (const auto& [start, end] : held_ranges) {
+            CandidateStats* candidate =
+                CandidateTrie::CandidateAt(walk(start, end));
+            if (candidate == nullptr) {
+                throw fault::CheckpointError(
+                    "checkpoint held match has no candidate in the "
                     "restored trie");
             }
+            held.push_back(CompletedMatch{candidate, start, end});
         }
-        return node;
     };
-    for (const std::uint64_t start : active_starts) {
-        // MaybeFire relies on active_ being sorted by start.
-        if (!active_.empty() && start <= active_.back().start) {
-            throw fault::CheckpointError(
-                "checkpoint match pointers are not in start order");
-        }
-        active_.push_back(ActivePointer{walk(start, counter_), start});
+    {
+        std::vector<ActivePointer> active;
+        std::deque<CompletedMatch> held;
+        restore_matches(trie, active, held);
     }
-    for (const auto& [start, end] : held_ranges) {
-        CandidateStats* stats =
-            CandidateTrie::CandidateAt(walk(start, end));
-        if (stats == nullptr) {
-            throw fault::CheckpointError(
-                "checkpoint held match has no candidate in the "
-                "restored trie");
-        }
-        held_.push_back(CompletedMatch{stats, start, end});
-    }
+
+    // The image is valid: commit. The finder re-reads bytes the
+    // scratch finder accepted, and the walks repeat ones that passed.
+    finder_.LoadState(finder_reader);
+    counter_ = counter;
+    pending_base_ = pending_base;
+    next_trace_id_ = next_trace_id;
+    candidate_digest_ = candidate_digest;
+    stats_ = stats;
+    trie_ = std::move(trie);
+    restore_matches(trie_, active_, held_);
+    pending_ = std::move(pending);
 }
 
 }  // namespace apo::core

@@ -241,7 +241,9 @@ class Apophenia final : public api::Frontend {
      * config (and a runtime restored to the matching stream
      * position). Active pointers and held matches are rebuilt by
      * re-walking the restored trie over the buffered tokens, so the
-     * restored replayer continues bit-identically.
+     * restored replayer continues bit-identically. The image is
+     * parsed and checked before any state changes, so a rejected one
+     * leaves the front end fresh.
      * @throws fault::CheckpointError on a used front-end or a
      *   malformed image. */
     void LoadState(fault::CheckpointReader& reader);

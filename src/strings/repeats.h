@@ -7,10 +7,19 @@
  * together with non-overlapping occurrence positions that achieve high
  * coverage of the buffer (paper section 3's optimization problem). The
  * algorithm makes one pass over the suffix array to generate at most
- * two candidate occurrences per adjacent suffix pair, sorts candidates
+ * two candidate occurrences per adjacent suffix pair, ranks candidates
  * by decreasing length (then by substring and start position), and
  * greedily selects occurrences that do not overlap previously selected
- * ones. Total complexity O(n log n).
+ * ones.
+ *
+ * Ranking needs no comparison sort. Stable counting passes order the
+ * candidates by suffix rank, then by decreasing length. Equal-content
+ * candidates of length L occupy one maximal SA-rank interval with
+ * lcp >= L, so a union-find over SA ranks, uniting i and i + 1 for each
+ * lcp[i] >= L as the length buckets are visited in decreasing order,
+ * names each candidate's content class; a last counting pass by start
+ * orders each (length, class) run. Ranking costs O(n α(n)); the
+ * interval set of the greedy selection costs O(log n) per candidate.
  *
  * FindRepeats is the convenience entry point; FindRepeatsInto /
  * FindRepeatsFromSa are the scratch-reusing layers (see
@@ -24,6 +33,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -73,20 +83,45 @@ struct RepeatCandidate {
     std::size_t start = 0;
 };
 
+/** Index type of the ranking buffers: candidate positions (< 2n) and
+ * SA ranks fit in 32 bits, halving the buffers' footprint. */
+using RankIndex = std::uint32_t;
+
+/** Longest input FindRepeatsFromSa accepts (its 2n candidate positions
+ * must fit in RankIndex); longer inputs throw std::length_error. */
+inline constexpr std::size_t kMaxRankedTokens = std::size_t{1} << 31;
+
 /**
  * Reusable buffers for FindRepeatsInto / FindRepeatsFromSa. Contents
  * are internal staging only — nothing outlives the call that filled
- * it. One scratch per thread.
+ * it. Every buffer is O(n), so a steady stream of same-sized windows
+ * allocates nothing here. One scratch per thread.
  */
 struct RepeatsScratch {
+    /** Suffix construction (FindRepeatsInto only). */
     SuffixWorkspace suffix;
     std::vector<std::size_t> sa;
     std::vector<std::size_t> lcp;
     std::vector<std::size_t> inverse;
+    /** rank[p]: SA position of the suffix starting at p. */
     std::vector<std::size_t> rank;
-    std::vector<std::size_t> group_starts;
+    /** Generated candidates; later in (length, rank) order. */
     std::vector<RepeatCandidate> candidates;
-    std::vector<std::vector<std::size_t>> rmq_levels;
+    /** Counting-pass target; ends in the final ranked order. */
+    std::vector<RepeatCandidate> ranked;
+    /** Counting-pass buckets; at the end, the per-run fill cursors. */
+    std::vector<RankIndex> counts;
+    /** LCP indices by decreasing value while classes are assigned, then
+     * candidate positions by increasing start. */
+    std::vector<RankIndex> order;
+    /** Union-find over SA ranks: parent links and set sizes. */
+    std::vector<RankIndex> parent;
+    std::vector<RankIndex> set_size;
+    /** Per ranked candidate: position of the first candidate of its
+     * (length, content class) run, i.e. of its dedup group. */
+    std::vector<RankIndex> run_head;
+    /** Selected starts of the group being assembled. */
+    std::vector<std::size_t> group_starts;
 };
 
 /**
@@ -110,6 +145,7 @@ void FindRepeatsInto(std::span<const Symbol> s, const RepeatOptions& options,
  * RepeatsViable(|s|, options)). This is everything FindRepeats does
  * after suffix construction, so callers that repair sa/lcp
  * incrementally still produce bit-identical repeat sets.
+ * @throws std::length_error if |s| > kMaxRankedTokens.
  */
 void FindRepeatsFromSa(std::span<const Symbol> s,
                        const std::vector<std::size_t>& sa,

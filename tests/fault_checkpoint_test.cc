@@ -529,6 +529,95 @@ TEST(CheckpointCorruption, MatchPointersMustBeOrderedAndBuffered)
         }));
 }
 
+TEST(CheckpointCorruption, RejectedImageLeavesFrontEndFresh)
+{
+    apps::MachineConfig machine{.nodes = 2, .gpus_per_node = 2};
+    const std::vector<RecordedCall> program =
+        RecordProgram<apps::S3dApplication>(
+            apps::S3dOptions{.machine = machine}, 30);
+    rt::RuntimeOptions rt_options;
+    rt_options.nodes = machine.nodes;
+    const core::ApopheniaConfig config = SmallConfig();
+
+    Stack reference(rt_options, config, /*streaming=*/false);
+    CallReplayer ref_replayer(*reference.apophenia, program);
+    while (!ref_replayer.Done()) {
+        ref_replayer.Step();
+    }
+    reference.apophenia->Flush();
+
+    // Cut at a quiescent point with at least two live match pointers,
+    // saving the runtime and the front end as separate images.
+    auto crashed = std::make_unique<Stack>(rt_options, config, false);
+    CallReplayer replayer(*crashed->apophenia, program);
+    while (!replayer.Done() &&
+           (replayer.Position() < program.size() / 3 ||
+            !crashed->runtime->Quiescent() ||
+            crashed->apophenia->ActivePointers() < 2)) {
+        replayer.Step();
+    }
+    ASSERT_FALSE(replayer.Done());
+    fault::CheckpointWriter runtime_writer;
+    crashed->runtime->SaveState(runtime_writer);
+    const std::vector<std::uint8_t> runtime_image =
+        runtime_writer.TakeImage();
+    fault::CheckpointWriter front_writer;
+    crashed->apophenia->SaveState(front_writer);
+    const std::vector<std::uint8_t> front_image = front_writer.TakeImage();
+    const std::size_t cut_ops = crashed->runtime->Log().size();
+    crashed.reset();
+
+    Stack restored(rt_options, config, /*streaming=*/false);
+    fault::CheckpointReader runtime_reader(runtime_image);
+    restored.runtime->LoadState(runtime_reader);
+    // A match range before the buffered tasks is only caught after the
+    // front end's section, the finder and the trie have been parsed.
+    const std::vector<std::uint8_t> bad = EditPointerStarts(
+        front_image, [](std::uint64_t& a, std::uint64_t&, std::uint64_t base) {
+            a = base - 1;
+        });
+    {
+        fault::CheckpointReader reader(bad);
+        EXPECT_THROW(restored.apophenia->LoadState(reader),
+                     fault::CheckpointError);
+    }
+    const core::Apophenia& front = *restored.apophenia;
+    EXPECT_EQ(front.Stats().tasks_observed, 0u);
+    EXPECT_EQ(front.Finder().tokens_observed, 0u);
+    EXPECT_EQ(front.PendingTasks(), 0u);
+    EXPECT_EQ(front.ActivePointers(), 0u);
+    EXPECT_EQ(front.Trie().NumCandidates(), 0u);
+    EXPECT_EQ(front.Trie().NumNodes(), 1u);
+    {
+        rt::Runtime runtime;
+        const core::Apophenia fresh(runtime, config);
+        EXPECT_EQ(front.CandidateDigest(), fresh.CandidateDigest());
+    }
+
+    // The untouched front end then takes the valid image and finishes
+    // the program bit-identically with the uninterrupted run.
+    fault::CheckpointReader reader(front_image);
+    restored.apophenia->LoadState(reader);
+    EXPECT_TRUE(reader.AtEnd());
+    EXPECT_GE(restored.apophenia->ActivePointers(), 2u);
+    replayer.Rebind(*restored.apophenia);
+    while (!replayer.Done()) {
+        replayer.Step();
+    }
+    restored.apophenia->Flush();
+    EXPECT_EQ(restored.apophenia->CandidateDigest(),
+              reference.apophenia->CandidateDigest());
+    const rt::OperationLog& got = restored.runtime->Log();
+    const rt::OperationLog& want = reference.runtime->Log();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = cut_ops; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].token, want[i].token) << "op " << i;
+        ASSERT_EQ(got[i].mode, want[i].mode) << "op " << i;
+        ASSERT_EQ(got[i].trace, want[i].trace) << "op " << i;
+    }
+    EXPECT_EQ(restored.runtime->Stats().trace_mismatches, 0u);
+}
+
 TEST(CheckpointCorruption, LoadRequiresFreshTargets)
 {
     const std::vector<std::uint8_t> image = SampleImage();

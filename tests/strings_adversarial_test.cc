@@ -169,7 +169,8 @@ TEST(Adversarial, AlternatingTwoSymbols)
 
 TEST(Adversarial, MaxLcpDoesNotOverflowRmq)
 {
-    // Long shared prefixes stress the LCP range-minimum structure.
+    // Long shared prefixes stress the LCP-driven ranking: deep length
+    // buckets and long union-find chains over the SA ranks.
     Sequence s(300, 1);
     s[150] = 2;  // one mismatch splits the run
     const auto repeats = FindRepeats(s, {.min_length = 20});
