@@ -39,10 +39,10 @@
 #include "bench_util.h"
 #include "core/apophenia.h"
 #include "core/finder.h"
-#include "core/steady_miner.h"
 #include "runtime/oplog.h"
 #include "sim/cluster.h"
 #include "strings/identifiers.h"
+#include "strings/incremental.h"
 #include "strings/repeats.h"
 #include "strings/suffix_array.h"
 #include "support/executor.h"
@@ -519,46 +519,73 @@ DigestRecord RunDigestRecord()
 //
 // Steady-state iteration loops hand the finder window after window of
 // byte-identical content whenever the stream's period divides the
-// analysis stride. The incremental engine (core/steady_miner.h) must
-// serve those windows from its rolling ring — one fingerprint pass
-// plus one verify compare, no suffix-array work, no allocation — and
-// must produce candidate sets byte-identical to from-scratch mining.
-// Measured end to end through TraceFinder with an inline executor, so
-// the tokens/sec figures include everything the finder pays per
-// window: history append, job launch, mining, ingestion.
+// analysis stride. The finder's incremental miner
+// (strings/incremental.h) must serve those windows from its
+// identical-window tier — one verify compare, no suffix-array work, no
+// allocation — and must produce candidate sets byte-identical to
+// from-scratch mining. The finder side is measured end to end through
+// TraceFinder with an inline executor, so its tokens/sec include
+// everything the finder pays per window: history append, job launch,
+// mining, ingestion. The from-scratch side mines the same windows
+// through core::MineSlice directly.
+
+/** Fold of one candidate set into a running digest. */
+void MixCandidates(std::uint64_t& digest,
+                   const std::vector<core::CandidateTrace>& candidates)
+{
+    const auto mix = [&digest](std::uint64_t v) {
+        digest = (digest ^ v) * 1099511628211ull;
+    };
+    for (const core::CandidateTrace& trace : candidates) {
+        mix(trace.tokens.size());
+        for (const auto token : trace.tokens) {
+            mix(token);
+        }
+        mix(static_cast<std::uint64_t>(trace.occurrences * 1024.0));
+    }
+}
 
 struct SteadyMiningRun {
     double tokens_per_sec = 0.0;
     double fast_path_hit_rate = 0.0;
     std::uint64_t windows = 0;
-    std::uint64_t digest = 0;  ///< fold of every job's candidate set
+    std::uint64_t digest = 0;  ///< fold of every window's candidate set
 };
 
-/** One full finder run over a pure period-64 stream (64 divides the
- * 4096-token batched stride, so every window is identical). */
-SteadyMiningRun MeasureSteadyMining(bool incremental, std::size_t tokens,
-                                    int reps)
+/** The steady workload: a pure period-64 stream mined in batched
+ * 4096-token windows (64 divides the stride, so every window is
+ * identical). */
+constexpr std::size_t kSteadyWindow = 4096;
+
+core::ApopheniaConfig SteadyMiningConfig()
+{
+    core::ApopheniaConfig config;
+    config.min_trace_length = 8;
+    config.batchsize = kSteadyWindow;
+    config.multi_scale_factor = 64;
+    config.identifier_algorithm = core::IdentifierAlgorithm::kBatched;
+    return config;
+}
+
+strings::Sequence SteadyStream(std::size_t tokens)
 {
     strings::Sequence stream(tokens);
     for (std::size_t i = 0; i < tokens; ++i) {
         stream[i] = i % 64;
     }
+    return stream;
+}
 
+/** Best-of-`reps` finder run over the steady stream. */
+SteadyMiningRun MeasureFinderMining(std::size_t tokens, int reps)
+{
+    const strings::Sequence stream = SteadyStream(tokens);
     SteadyMiningRun best;
     for (int rep = 0; rep < reps; ++rep) {
-        core::ApopheniaConfig config;
-        config.min_trace_length = 8;
-        config.batchsize = 4096;
-        config.multi_scale_factor = 64;
-        config.identifier_algorithm = core::IdentifierAlgorithm::kBatched;
-        config.incremental_mining = incremental;
+        const core::ApopheniaConfig config = SteadyMiningConfig();
         support::InlineExecutor executor;
         core::TraceFinder finder(config, executor);
-
         std::uint64_t digest = 1469598103934665603ull;
-        const auto mix = [&digest](std::uint64_t v) {
-            digest = (digest ^ v) * 1099511628211ull;
-        };
 
         const auto start = std::chrono::steady_clock::now();
         std::uint64_t now = 0;
@@ -566,14 +593,7 @@ SteadyMiningRun MeasureSteadyMining(bool incremental, std::size_t tokens,
             finder.Observe(token, ++now);
         }
         while (finder.PendingJobCount() > 0) {
-            const core::AnalysisJob& job = finder.WaitOldestJob();
-            for (const core::CandidateTrace& trace : job.Results()) {
-                mix(trace.tokens.size());
-                for (const auto token : trace.tokens) {
-                    mix(token);
-                }
-                mix(static_cast<std::uint64_t>(trace.occurrences * 1024.0));
-            }
+            MixCandidates(digest, finder.WaitOldestJob().Results());
             finder.ReleaseOldestJob();
         }
         const std::chrono::duration<double> elapsed =
@@ -595,40 +615,69 @@ SteadyMiningRun MeasureSteadyMining(bool incremental, std::size_t tokens,
     return best;
 }
 
-/** Allocations per fast-path hit on a hot ring: the contract is zero. */
-double MeasureProbeAllocs()
+/** Best-of-`reps` from-scratch MineSlice over the finder's windows. */
+SteadyMiningRun MeasureMineSlice(std::size_t tokens, int reps)
 {
-    core::ApopheniaConfig config;
-    config.min_trace_length = 8;
-    config.batchsize = 4096;
-    config.multi_scale_factor = 64;
-    core::SteadyStateMiner miner(config);
-    std::vector<rt::TokenHash> window(4096);
-    for (std::size_t i = 0; i < window.size(); ++i) {
-        window[i] = i % 64;
+    const strings::Sequence stream = SteadyStream(tokens);
+    const core::ApopheniaConfig config = SteadyMiningConfig();
+    SteadyMiningRun best;
+    for (int rep = 0; rep < reps; ++rep) {
+        std::uint64_t digest = 1469598103934665603ull;
+        std::uint64_t windows = 0;
+        const auto start = std::chrono::steady_clock::now();
+        for (std::size_t end = kSteadyWindow; end <= tokens;
+             end += kSteadyWindow) {
+            const std::vector<rt::TokenHash> window(
+                stream.begin() + static_cast<std::ptrdiff_t>(
+                                     end - kSteadyWindow),
+                stream.begin() + static_cast<std::ptrdiff_t>(end));
+            MixCandidates(digest, core::MineSlice(window, config));
+            ++windows;
+        }
+        const std::chrono::duration<double> elapsed =
+            std::chrono::steady_clock::now() - start;
+        const double rate = static_cast<double>(tokens) / elapsed.count();
+        if (rate > best.tokens_per_sec) {
+            best.tokens_per_sec = rate;
+            best.windows = windows;
+            best.digest = digest;
+        }
     }
-    core::MiningPath path = core::MiningPath::kNone;
-    miner.Mine(window, &path);  // seed the ring
+    return best;
+}
 
-    constexpr std::uint64_t kProbes = 10000;
-    std::shared_ptr<const std::vector<core::CandidateTrace>> hit;
+/** Allocations per window on the finder's identical-window path (its
+ * incremental miner re-mining a hot window, configured as the finder
+ * configures it): the contract is zero. */
+double MeasureIdenticalWindowAllocs()
+{
+    const core::ApopheniaConfig config = SteadyMiningConfig();
+    strings::IncrementalMiner miner(strings::RepeatOptions{
+        .min_length = config.min_trace_length, .min_occurrences = 2});
+    const strings::Sequence window = SteadyStream(kSteadyWindow);
+    miner.Mine(window);  // the first window is mined in full
+
+    constexpr std::uint64_t kWindows = 10000;
+    bool all_fast = true;
     const std::uint64_t before = apo::support::AllocationCount();
-    for (std::uint64_t i = 0; i < kProbes; ++i) {
-        hit = miner.Probe(std::span<const rt::TokenHash>(window));
+    for (std::uint64_t i = 0; i < kWindows; ++i) {
+        miner.Mine(window);
+        all_fast = all_fast &&
+                   miner.LastTier() == strings::MiningTier::kFastPath;
     }
     const std::uint64_t allocs = apo::support::AllocationCount() - before;
-    if (hit == nullptr) {
+    if (!all_fast) {
         std::fprintf(stderr,
-                     "steady_state_mining: probe missed a hot ring\n");
+                     "steady_state_mining: an identical window missed "
+                     "the fast path\n");
         return -1.0;
     }
-    return static_cast<double>(allocs) / static_cast<double>(kProbes);
+    return static_cast<double>(allocs) / static_cast<double>(kWindows);
 }
 
 struct SteadyMiningRecord {
-    SteadyMiningRun incremental;
+    SteadyMiningRun finder;
     SteadyMiningRun scratch;
-    double speedup = 0.0;
     double allocs_per_window = 0.0;
     bool identical = false;
 };
@@ -639,42 +688,30 @@ SteadyMiningRecord RunSteadyMiningRecord()
     constexpr int kReps = 5;
 
     SteadyMiningRecord record;
-    record.incremental =
-        MeasureSteadyMining(/*incremental=*/true, kTokens, kReps);
-    record.scratch =
-        MeasureSteadyMining(/*incremental=*/false, kTokens, kReps);
-    record.speedup =
-        record.scratch.tokens_per_sec > 0.0
-            ? record.incremental.tokens_per_sec /
-                  record.scratch.tokens_per_sec
-            : 0.0;
-    record.allocs_per_window = MeasureProbeAllocs();
-    record.identical =
-        record.incremental.digest == record.scratch.digest &&
-        record.incremental.windows == record.scratch.windows;
+    record.finder = MeasureFinderMining(kTokens, kReps);
+    record.scratch = MeasureMineSlice(kTokens, kReps);
+    record.allocs_per_window = MeasureIdenticalWindowAllocs();
+    record.identical = record.finder.digest == record.scratch.digest &&
+                       record.finder.windows == record.scratch.windows;
 
     std::printf("\n# steady-state mining (period-64 stream, batched "
                 "4096-token windows, %zu tokens)\n",
                 kTokens);
     std::printf("%-22s %14.0f tokens/sec    (fast-path hit rate %.3f)\n",
-                "incremental engine",
-                record.incremental.tokens_per_sec,
-                record.incremental.fast_path_hit_rate);
-    std::printf("%-22s %14.0f tokens/sec\n", "from scratch (seed)",
+                "finder (incremental)", record.finder.tokens_per_sec,
+                record.finder.fast_path_hit_rate);
+    std::printf("%-22s %14.0f tokens/sec\n", "MineSlice per window",
                 record.scratch.tokens_per_sec);
-    std::printf("%-22s %14.2fx\n", "speedup", record.speedup);
-    std::printf("%-22s %14.3f allocs/window (hot probe)\n", "fast path",
+    std::printf("%-22s %14.3f allocs/window\n", "identical window",
                 record.allocs_per_window);
     if (!record.identical) {
         std::fprintf(stderr,
                      "steady_state_mining: candidate sets DIFFER between "
-                     "incremental and from-scratch runs "
+                     "the finder and from-scratch MineSlice "
                      "(windows %llu vs %llu, digest %llx vs %llx)\n",
-                     static_cast<unsigned long long>(
-                         record.incremental.windows),
+                     static_cast<unsigned long long>(record.finder.windows),
                      static_cast<unsigned long long>(record.scratch.windows),
-                     static_cast<unsigned long long>(
-                         record.incremental.digest),
+                     static_cast<unsigned long long>(record.finder.digest),
                      static_cast<unsigned long long>(record.scratch.digest));
     }
     return record;
@@ -1063,7 +1100,6 @@ int RunLaunchPathRecord(const std::string& json_path)
         "    %s,\n"
         "    \"incremental_tokens_per_sec\": %.0f,\n"
         "    \"from_scratch_tokens_per_sec\": %.0f,\n"
-        "    \"speedup\": %.3f,\n"
         "    \"fast_path_hit_rate\": %.3f,\n"
         "    \"allocs_per_window\": %.3f,\n"
         "    \"windows\": %llu,\n"
@@ -1084,10 +1120,9 @@ int RunLaunchPathRecord(const std::string& json_path)
         stream_digest.digest.launches_per_sec,
         stream_digest.digest.allocs_per_launch,
         apo::bench::ConcurrencyJson().c_str(),
-        steady.incremental.tokens_per_sec,
-        steady.scratch.tokens_per_sec, steady.speedup,
-        steady.incremental.fast_path_hit_rate, steady.allocs_per_window,
-        static_cast<unsigned long long>(steady.incremental.windows),
+        steady.finder.tokens_per_sec, steady.scratch.tokens_per_sec,
+        steady.finder.fast_path_hit_rate, steady.allocs_per_window,
+        static_cast<unsigned long long>(steady.finder.windows),
         steady.identical ? "true" : "false", preserved_member.c_str());
     std::fclose(out);
     // Merged in place, so the section keeps its slot in the record.
@@ -1099,9 +1134,9 @@ int RunLaunchPathRecord(const std::string& json_path)
     }
     std::printf("wrote %s\n", json_path.c_str());
     // The equality asserts: the record is only acceptable when the
-    // engine's candidate sets match from-scratch mining bit for bit,
-    // the hot fast path allocates nothing, and the ranking-only path
-    // reproduces the from-scratch repeat sets.
+    // finder's candidate sets match from-scratch mining bit for bit,
+    // the identical-window path allocates nothing, and the ranking-only
+    // path reproduces the from-scratch repeat sets.
     if (!steady.identical || steady.allocs_per_window != 0.0 ||
         !ranking.identical) {
         return 1;

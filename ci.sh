@@ -32,9 +32,11 @@ cmake --build build-tsan -j "$JOBS" --target support_executor_stress_test sim_cl
 # APO_JOBS=8 forces every default-jobs cluster through the parallel
 # per-node engine at >= 8 worker threads regardless of the host's core
 # count, so TSan sees the real cross-thread traffic (TaskTeam barriers,
-# shared mining cache, steady-state miner ring) even on small CI
-# machines. core_decision_test's 64-node shared-engine case fans one
-# decider's broadcast batches across the worker team.
+# shared mining cache) even on small CI machines.
+# core_incremental_test's pooled oracle races one finder's workers on
+# the finder's incremental miner. core_decision_test's 64-node
+# shared-engine case fans one decider's broadcast batches across the
+# worker team.
 # svc_service_test's pooled-executor case drives every tenant's mining
 # jobs through one PooledExecutor racing on the shared cross-tenant
 # cache. The fault_* suites run crash/checkpoint/resync through the

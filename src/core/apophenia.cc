@@ -27,7 +27,7 @@ Apophenia::DoExecuteTask(const rt::TaskLaunchView& launch)
     if (degraded_) {
         // Overload posture: issue straight through. The token is NOT
         // shown to the finder — the degraded window never enters the
-        // history ring, the steady ring or (via mining) the trie, so
+        // history ring, the finder's miner or (via mining) the trie, so
         // leaving degrade later is bit-safe. SetDegraded(true) already
         // drained the pending buffer and match state.
         ++counter_;

@@ -169,7 +169,7 @@ class Apophenia final : public api::Frontend {
      * Entering degrade first resolves every in-progress match exactly
      * as DoFlush would (fire profitable held matches, forward the
      * rest), so no launch is stranded in the pending buffer. Degraded
-     * tokens are kept out of the finder's history ring, steady ring
+     * tokens are kept out of the finder's history ring, its miner
      * and the trie entirely: re-enabling later is bit-safe — the
      * finder state equals that of a stream that simply never
      * contained the degraded window. Counted in
@@ -228,8 +228,8 @@ class Apophenia final : public api::Frontend {
      * Serialize the front-end's complete decision state: replay
      * cursors (task counter, pending buffer with its buffered
      * launches, active match pointers, held matches, next trace id),
-     * stats, the candidate digest, the finder (history ring, steady
-     * ring, completed in-flight jobs) and the candidate trie. The
+     * stats, the candidate digest, the finder (history ring and
+     * completed in-flight jobs) and the candidate trie. The
      * target runtime is NOT included — checkpoint it separately with
      * rt::Runtime::SaveState. Every in-flight mining job must have
      * completed (guaranteed under the inline executor; otherwise

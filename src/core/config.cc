@@ -73,12 +73,8 @@ ParseApopheniaFlags(std::vector<std::string>& args)
             }
         } else if (a == "-lg:auto_trace:history_block_size") {
             config.history_block_size = ParseFlagCount(a, value_of(i, a));
-        } else if (a == "-lg:auto_trace:no_incremental_mining") {
-            config.incremental_mining = false;
         } else if (a == "-lg:auto_trace:no_shared_decisions") {
             config.shared_decisions = false;
-        } else if (a == "-lg:auto_trace:incremental_ring_windows") {
-            config.incremental_ring_windows = ParseFlagCount(a, value_of(i, a));
         } else if (a == "-lg:window") {
             config.window = ParseFlagCount(a, value_of(i, a));
         } else if (a == "-lg:inline_transitive_reduction") {
@@ -98,6 +94,8 @@ ParseApopheniaFlags(std::vector<std::string>& args)
                 throw std::invalid_argument(
                     a + ": unknown repeats algorithm '" + v + "'");
             }
+        } else if (a.starts_with("-lg:auto_trace:")) {
+            throw std::invalid_argument("unknown flag " + a);
         } else {
             rest.push_back(a);
         }
@@ -117,11 +115,6 @@ ParseApopheniaFlags(std::vector<std::string>& args)
     }
     if (config.history_block_size == 0) {
         throw std::invalid_argument("history_block_size must be positive");
-    }
-    if (config.incremental_mining && config.incremental_ring_windows == 0) {
-        throw std::invalid_argument(
-            "incremental_ring_windows must be positive while incremental "
-            "mining is enabled");
     }
     return config;
 }

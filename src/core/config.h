@@ -15,8 +15,6 @@
  *
  *   -lg:auto_trace:ingest_mode <on-completion|eager-drain|manual>
  *   -lg:auto_trace:history_block_size <N>
- *   -lg:auto_trace:no_incremental_mining
- *   -lg:auto_trace:incremental_ring_windows <N>
  *   -lg:auto_trace:no_shared_decisions
  *
  * Every <N> is a plain decimal count: digits only, no sign, no
@@ -109,22 +107,6 @@ struct ApopheniaConfig {
      * O(slice / block size) on the application thread. */
     std::size_t history_block_size = 512;
 
-    /** Steady-state incremental mining: probe a per-finder ring of
-     * recently mined windows ahead of the shared cache (a verified
-     * hit skips mining, hashing and materialization entirely) and
-     * reuse suffix structures across windows
-     * (strings/incremental.h). Behaviour-invariant: candidate sets
-     * are bit-identical on or off
-     * (-lg:auto_trace:no_incremental_mining disables). Oracle:
-     * fuzz_differential_test's IncrementalMiningOnVsOffIsBitIdentical. */
-    bool incremental_mining = true;
-
-    /** Entries of the rolling fast-path ring — how many distinct
-     * recent window contents (the ruler schedule cycles through
-     * several lengths) each finder remembers
-     * (-lg:auto_trace:incremental_ring_windows). */
-    std::size_t incremental_ring_windows = 8;
-
     /** Token namespace of the stream this finder observes (see
      * rt::FoldNamespace). The shared content-addressed MiningCache
      * keys every window by its namespace-relative content
@@ -192,9 +174,11 @@ struct ApopheniaConfig {
 
 /**
  * Parse Apophenia flags out of a command line. Recognized flags (and
- * their values) are removed from `args`; unrecognized arguments are
- * left in place for the application. Throws std::invalid_argument on
- * malformed values.
+ * their values) are removed from `args`; arguments outside the
+ * `-lg:auto_trace:` family that are not recognized are left in place
+ * for the application. Throws std::invalid_argument on malformed
+ * values and on any unknown `-lg:auto_trace:` flag (naming it), so a
+ * retired or misspelled flag is never passed on with its value.
  */
 ApopheniaConfig ParseApopheniaFlags(std::vector<std::string>& args);
 

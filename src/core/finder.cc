@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/mining_cache.h"
-#include "core/steady_miner.h"
 #include "strings/identifiers.h"
 #include "strings/repeats.h"
 #include "support/ruler.h"
@@ -134,11 +133,12 @@ TraceFinder::TraceFinder(const ApopheniaConfig& config,
     : config_(&config),
       executor_(&executor),
       mining_cache_(mining_cache),
+      miner_(strings::RepeatOptions{
+          .min_length = config.min_trace_length,
+          .min_occurrences = 2,
+      }),
       history_(config.batchsize, config.history_block_size)
 {
-    if (config.incremental_mining) {
-        steady_ = std::make_unique<SteadyStateMiner>(config);
-    }
 }
 
 TraceFinder::~TraceFinder()
@@ -224,126 +224,113 @@ TraceFinder::LaunchAnalysis(std::size_t slice_length, std::uint64_t now)
     // worker materializes them off the application's critical path.
     history_.SnapshotLastN(slice_length, job->snapshot);
 
-    const ApopheniaConfig* config = config_;
-    MiningCache* cache = mining_cache_;
-    SteadyStateMiner* steady = steady_.get();
     executor_->Submit(
-        [job, config, cache, steady] {
-            // Rolling fast path, ahead of the shared cache: a
-            // verified hit adopts this finder's own recent result with
-            // no cache hash probe, no block-span compare against cache
-            // entries, and no slice materialization.
-            if (steady != nullptr) {
-                std::shared_ptr<const std::vector<CandidateTrace>> hit =
-                    steady->Probe(job->snapshot);
-                if (hit != nullptr) {
-                    job->adopted = std::move(hit);
-                    job->mining_path = MiningPath::kFastPath;
-                    return;
-                }
-            }
-            // Mine through the incremental engine when present (which
-            // memoizes the result in the ring) or classically; either
-            // way the candidate set is a pure function of (window,
-            // config), bit-identical across all paths.
-            //
-            // A finder with a nonzero token namespace (a service
-            // tenant) always mines the *de-namespaced* window and
-            // re-keys the result into its namespace. Repeat mining is
-            // not XOR-equivariant (suffix order depends on token
-            // values), so mining the salted slice directly could
-            // differ from adopting Rekey(canonical mining) out of the
-            // shared cache — canonical mining makes every path agree,
-            // and makes per-tenant decisions independent of the salt
-            // value (pinned by the differential fuzz leg). Such
-            // mining always rebuilds (no incremental repair tier);
-            // the salted result is memoized in the ring so identical
-            // windows still take the fast path.
-            const rt::TokenHash ns = config->cache_namespace;
-            auto mine = [&] {
-                if (ns == 0) {
-                    if (steady != nullptr) {
-                        job->adopted = steady->Mine(job->slice,
-                                                    &job->mining_path);
-                    } else {
-                        job->results = MineSlice(job->slice, *config);
-                    }
-                    return;
-                }
-                std::vector<rt::TokenHash> canonical = job->slice;
-                for (rt::TokenHash& token : canonical) {
-                    token = rt::FoldNamespace(ns, token);
-                }
-                auto salted =
-                    std::make_shared<const std::vector<CandidateTrace>>(
-                        MiningCache::Rekey(MineSlice(canonical, *config),
-                                           ns));
-                if (steady != nullptr) {
-                    steady->Memoize(
-                        std::span<const rt::TokenHash>(job->slice),
-                        salted);
-                    job->mining_path = MiningPath::kFull;
-                }
-                job->adopted = std::move(salted);
-            };
-            if (cache == nullptr) {
-                job->snapshot.CopyTo(job->slice);
-                mine();
-                return;
-            }
-            // Shared-cache path: adopt another node's verified result
-            // for an identical window (in place — a hit never even
-            // materializes the slice), or mine it and publish. The
-            // cache speaks namespace-relative tokens, so a finder
-            // with a nonzero token namespace (a service tenant)
-            // de-namespaces its probes and re-keys adopted results —
-            // identical kernels dedup across tenants.
-            const MiningCache::Key key =
-                MiningCache::KeyOf(job->snapshot, ns);
-            MiningCache::Claim claim =
-                cache->AcquireOrBegin(key, job->snapshot, ns);
-            if (claim.results != nullptr) {
-                job->cache_hit = true;
-                job->cache_cross = claim.owner != ns;
-                std::shared_ptr<const std::vector<CandidateTrace>>
-                    adopted =
-                        ns == 0 ? std::move(claim.results)
-                                : std::make_shared<const std::vector<
-                                      CandidateTrace>>(MiningCache::Rekey(
-                                      *claim.results, ns));
-                // Seed the ring with the adopted result so the next
-                // identical window takes the fast path outright.
-                if (steady != nullptr) {
-                    steady->Memoize(job->snapshot, adopted);
-                }
-                job->adopted = std::move(adopted);
-                return;
-            }
-            job->snapshot.CopyTo(job->slice);
-            if (!claim.miner) {
-                // Verified key collision: a different window owns the
-                // entry. Mine locally; publish nothing.
-                mine();
-                return;
-            }
-            try {
-                mine();
-            } catch (...) {
-                cache->Abandon(key);
-                throw;
-            }
-            if (job->adopted != nullptr) {
-                cache->Publish(key, job->slice, job->adopted, ns);
-            } else {
-                auto mined =
-                    std::make_shared<const std::vector<CandidateTrace>>(
-                        std::move(job->results));
-                job->results.clear();
-                cache->Publish(key, job->slice, mined, ns);
-                job->adopted = std::move(mined);
-            }
-        },
+        [this, job] { RunJob(*job); },
         [job] { job->done.store(true, std::memory_order_release); });
+}
+
+void
+TraceFinder::RunJob(AnalysisJob& job)
+{
+    if (mining_cache_ == nullptr) {
+        job.snapshot.CopyTo(job.slice);
+        Mine(job);
+        return;
+    }
+    // Shared-cache path: adopt another node's verified result for an
+    // identical window (in place — a hit never even materializes the
+    // slice), or mine it and publish. The cache speaks
+    // namespace-relative tokens, so a finder with a nonzero token
+    // namespace (a service tenant) de-namespaces its probes and
+    // re-keys adopted results — identical kernels dedup across
+    // tenants.
+    const rt::TokenHash ns = config_->cache_namespace;
+    const MiningCache::Key key = MiningCache::KeyOf(job.snapshot, ns);
+    MiningCache::Claim claim =
+        mining_cache_->AcquireOrBegin(key, job.snapshot, ns);
+    if (claim.results != nullptr) {
+        job.cache_hit = true;
+        job.cache_cross = claim.owner != ns;
+        job.results =
+            ns == 0 ? std::move(claim.results)
+                    : std::make_shared<const std::vector<CandidateTrace>>(
+                          MiningCache::Rekey(*claim.results, ns));
+        return;
+    }
+    job.snapshot.CopyTo(job.slice);
+    if (!claim.miner) {
+        // Verified key collision: a different window owns the entry.
+        // Mine locally; publish nothing.
+        Mine(job);
+        return;
+    }
+    try {
+        Mine(job);
+    } catch (...) {
+        mining_cache_->Abandon(key);
+        throw;
+    }
+    mining_cache_->Publish(key, job.slice, job.results, ns);
+}
+
+void
+TraceFinder::Mine(AnalysisJob& job)
+{
+    // Every path yields a pure function of (window, config), so which
+    // one serves a job never changes its candidate set.
+    const rt::TokenHash ns = config_->cache_namespace;
+    if (ns != 0) {
+        // A finder with a nonzero token namespace (a service tenant)
+        // mines the *de-namespaced* window and re-keys the result
+        // into its namespace. Repeat mining is not XOR-equivariant
+        // (suffix order depends on token values), so mining the
+        // salted slice directly could differ from adopting
+        // Rekey(canonical mining) out of the shared cache — canonical
+        // mining makes every path agree, and makes per-tenant
+        // decisions independent of the salt value (pinned by the
+        // differential fuzz leg).
+        std::vector<rt::TokenHash> canonical = job.slice;
+        for (rt::TokenHash& token : canonical) {
+            token = rt::FoldNamespace(ns, token);
+        }
+        job.results = std::make_shared<const std::vector<CandidateTrace>>(
+            MiningCache::Rekey(MineSlice(canonical, *config_), ns));
+        job.mining_path = MiningPath::kFull;
+        return;
+    }
+    if (config_->repeats_algorithm !=
+        RepeatsAlgorithm::kQuickMatchingOfSubstrings) {
+        job.results = std::make_shared<const std::vector<CandidateTrace>>(
+            MineSlice(job.slice, *config_));
+        job.mining_path = MiningPath::kFull;
+        return;
+    }
+    std::lock_guard lock(miner_mutex_);
+    try {
+        const std::vector<strings::Repeat>& repeats = miner_.Mine(job.slice);
+        if (miner_.LastTier() != strings::MiningTier::kFastPath) {
+            last_mined_ = std::make_shared<const std::vector<CandidateTrace>>(
+                RepeatsToCandidates(repeats, job.slice, *config_));
+        }
+    } catch (...) {
+        // Keep last_mined_ the candidate set of the miner's previous
+        // window: forget both.
+        miner_.Reset();
+        last_mined_ = nullptr;
+        throw;
+    }
+    job.results = last_mined_;
+    switch (miner_.LastTier()) {
+      case strings::MiningTier::kFastPath:
+        job.mining_path = MiningPath::kFastPath;
+        break;
+      case strings::MiningTier::kRepair:
+        job.mining_path = MiningPath::kRepair;
+        break;
+      case strings::MiningTier::kFull:
+        job.mining_path = MiningPath::kFull;
+        break;
+    }
 }
 
 void
@@ -404,8 +391,7 @@ TraceFinder::ReleaseOldestJob()
     job->cache_cross = false;
     job->mining_path = MiningPath::kNone;
     job->snapshot.Clear();
-    job->results.clear();
-    job->adopted = nullptr;
+    job->results = nullptr;
     free_jobs_.push_back(std::move(job));
 }
 
@@ -423,8 +409,7 @@ TraceFinder::AbandonJobsOlderThan(std::uint64_t cutoff)
         job->cache_cross = false;
         job->mining_path = MiningPath::kNone;
         job->snapshot.Clear();
-        job->results.clear();
-        job->adopted = nullptr;
+        job->results = nullptr;
         free_jobs_.push_back(std::move(job));
         return true;
     });
@@ -478,12 +463,8 @@ TraceFinder::SaveState(fault::CheckpointWriter& writer) const
         writer.Bool(job->cache_cross);
         SaveCandidates(writer, job->Results());
     }
-    writer.Bool(steady_ != nullptr);
     writer.EndSection();
     history_.SaveState(writer);
-    if (steady_ != nullptr) {
-        steady_->SaveState(writer);
-    }
 }
 
 void
@@ -493,47 +474,51 @@ TraceFinder::LoadState(fault::CheckpointReader& reader)
         throw fault::CheckpointError(
             "TraceFinder::LoadState requires a fresh finder");
     }
+    // Parsed into locals and committed only once the whole image has
+    // parsed, so a rejected image leaves this finder fresh.
     reader.BeginSection(fault::SectionTag::kTraceFinder);
-    sample_counter_ = reader.U64();
-    anchor_ = reader.U64();
-    anchor_next_len_ = reader.U64();
-    stats_.tokens_observed = reader.U64();
-    stats_.jobs_launched = reader.U64();
-    stats_.tokens_analyzed = reader.U64();
-    stats_.candidates_produced = reader.U64();
-    stats_.jobs_recycled = reader.U64();
-    stats_.mining_fast_path_hits = reader.U64();
-    stats_.mining_repairs = reader.U64();
-    stats_.mining_full = reader.U64();
-    stats_.mining_cache_hits = reader.U64();
-    stats_.mining_cache_cross_hits = reader.U64();
+    const std::uint64_t sample_counter = reader.U64();
+    const std::uint64_t anchor = reader.U64();
+    const std::uint64_t anchor_next_len = reader.U64();
+    FinderStats stats = stats_;
+    stats.tokens_observed = reader.U64();
+    stats.jobs_launched = reader.U64();
+    stats.tokens_analyzed = reader.U64();
+    stats.candidates_produced = reader.U64();
+    stats.jobs_recycled = reader.U64();
+    stats.mining_fast_path_hits = reader.U64();
+    stats.mining_repairs = reader.U64();
+    stats.mining_full = reader.U64();
+    stats.mining_cache_hits = reader.U64();
+    stats.mining_cache_cross_hits = reader.U64();
+    std::deque<std::unique_ptr<AnalysisJob>> inflight;
     const std::uint64_t jobs = reader.U64();
     for (std::uint64_t i = 0; i < jobs; ++i) {
         // Restored jobs are completed results awaiting ingestion at
         // their coordinated stream positions; the mining itself never
         // reruns.
-        inflight_.push_back(std::make_unique<AnalysisJob>());
-        AnalysisJob& job = *inflight_.back();
-        job.id = reader.U64();
-        job.issued_at = reader.U64();
-        job.slice_length = reader.U64();
-        job.mining_path = static_cast<MiningPath>(reader.U64());
-        job.cache_hit = reader.Bool();
-        job.cache_cross = reader.Bool();
-        job.results = LoadCandidates(reader);
-        job.done.store(true, std::memory_order_release);
+        auto job = std::make_unique<AnalysisJob>();
+        job->id = reader.U64();
+        job->issued_at = reader.U64();
+        job->slice_length = reader.U64();
+        job->mining_path = static_cast<MiningPath>(reader.U64());
+        job->cache_hit = reader.Bool();
+        job->cache_cross = reader.Bool();
+        job->results = std::make_shared<const std::vector<CandidateTrace>>(
+            LoadCandidates(reader));
+        job->done.store(true, std::memory_order_release);
+        inflight.push_back(std::move(job));
     }
-    const bool had_steady = reader.Bool();
     reader.EndSection();
-    if (had_steady != (steady_ != nullptr)) {
-        throw fault::CheckpointError(
-            "checkpoint incremental-mining mode does not match the "
-            "restoring finder");
-    }
-    history_.LoadState(reader);
-    if (steady_ != nullptr) {
-        steady_->LoadState(reader);
-    }
+    HistoryRing history(config_->batchsize, config_->history_block_size);
+    history.LoadState(reader);
+
+    sample_counter_ = sample_counter;
+    anchor_ = anchor;
+    anchor_next_len_ = anchor_next_len;
+    stats_ = stats;
+    inflight_ = std::move(inflight);
+    history_ = std::move(history);
 }
 
 }  // namespace apo::core

@@ -29,6 +29,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -36,16 +37,12 @@
 #include "core/history.h"
 #include "fault/checkpoint.h"
 #include "runtime/task.h"
+#include "strings/incremental.h"
 #include "support/executor.h"
-
-namespace apo::strings {
-struct Repeat;
-}  // namespace apo::strings
 
 namespace apo::core {
 
 class MiningCache;
-class SteadyStateMiner;
 
 /** A candidate trace produced by a mining job. */
 struct CandidateTrace {
@@ -55,18 +52,19 @@ struct CandidateTrace {
 };
 
 /** Checkpoint helpers for candidate sets (used by the finder's
- * in-flight jobs, the steady-state ring and the mining cache). */
+ * in-flight jobs and the mining cache). */
 void SaveCandidates(fault::CheckpointWriter& writer,
                     const std::vector<CandidateTrace>& candidates);
 std::vector<CandidateTrace> LoadCandidates(fault::CheckpointReader& reader);
 
-/** Which tier of the incremental mining engine served a job (see
- * steady_miner.h; kNone = engine disabled, classic MineSlice path). */
+/** Which tier of the finder's strings::IncrementalMiner served a job
+ * (kNone = the shared mining cache served it; nothing was mined). */
 enum class MiningPath : std::uint8_t {
     kNone = 0,
-    kFastPath,  ///< rolling-ring hit: no mining, no hashing, no copy
+    kFastPath,  ///< verified-identical window: the kept candidate set
     kRepair,    ///< suffix structures reused/repaired across windows
-    kFull,      ///< full rebuild (scratch-reusing)
+    kFull,      ///< full rebuild (scratch-reusing), a baseline
+                ///< algorithm, or a namespaced window
 };
 
 /** One asynchronous history-mining job. Owned and recycled by the
@@ -83,12 +81,11 @@ struct AnalysisJob {
     HistorySnapshot snapshot;
     /** Worker-side materialization buffer, reused across jobs. */
     std::vector<rt::TokenHash> slice;
-    std::vector<CandidateTrace> results;
-    /** Set instead of `results` when the shared mining cache served
-     * this job: the adopting node reads the first finisher's
-     * published candidate set in place (no per-node copy). Shared
+    /** The job's candidate set. Shared: a shared-cache hit reads the
+     * first finisher's published set in place, and an identical
+     * window reads the finder's kept set (no per-job copy). Shared
      * ownership keeps it alive past cache eviction. */
-    std::shared_ptr<const std::vector<CandidateTrace>> adopted;
+    std::shared_ptr<const std::vector<CandidateTrace>> results;
     /** Which incremental-mining tier produced Results(). */
     MiningPath mining_path = MiningPath::kNone;
     /** Set by the worker when the shared mining cache served this
@@ -103,7 +100,8 @@ struct AnalysisJob {
 
     const std::vector<CandidateTrace>& Results() const
     {
-        return adopted != nullptr ? *adopted : results;
+        static const std::vector<CandidateTrace> kNoResults;
+        return results != nullptr ? *results : kNoResults;
     }
 };
 
@@ -123,9 +121,9 @@ struct FinderStats {
     std::uint64_t candidates_produced = 0;
     /** Jobs recycled from the free pool (vs freshly allocated). */
     std::uint64_t jobs_recycled = 0;
-    /** Incremental-mining tier counters over ingested jobs (all zero
-     * with incremental_mining off). A fast-path hit did no suffix
-     * work, no cache hashing and no slice materialization at all. */
+    /** Incremental-mining tier counters over ingested jobs (see
+     * MiningPath; shared-cache hits count in none of them). A
+     * fast-path hit did no suffix work and converted no repeats. */
     std::uint64_t mining_fast_path_hits = 0;
     std::uint64_t mining_repairs = 0;
     std::uint64_t mining_full = 0;
@@ -212,29 +210,42 @@ class TraceFinder {
 
     const FinderStats& Stats() const { return stats_; }
 
-    /** The finder's incremental mining engine (nullptr when
-     * config.incremental_mining is off). Exposed for tests. */
-    const SteadyStateMiner* Steady() const { return steady_.get(); }
-
     /** Checkpoint hooks: sampling cursors, anchors, stats, the
-     * history ring, the steady-state ring, and every in-flight job as
-     * a completed result (id, issue position, candidates, tier) —
-     * every job must have completed (drain the executor first);
-     * throws fault::CheckpointError otherwise. LoadState restores
-     * onto a fresh finder built with an identical config. */
+     * history ring, and every in-flight job as a completed result
+     * (id, issue position, candidates, tier) — every job must have
+     * completed (drain the executor first); throws
+     * fault::CheckpointError otherwise. LoadState restores onto a
+     * fresh finder built with an identical config, and parses the
+     * whole image before it changes anything, so a rejected image
+     * leaves the finder fresh. The incremental miner restarts cold:
+     * mining is a pure function of (window, config), so restored
+     * decisions stay bit-identical; only the tier counters of later
+     * jobs can differ from an uninterrupted run. */
     void SaveState(fault::CheckpointWriter& writer) const;
     void LoadState(fault::CheckpointReader& reader);
 
   private:
     void LaunchAnalysis(std::size_t slice_length, std::uint64_t now);
     AnalysisJob* AcquireJob();
+    /** Worker side of a job: adopt a shared-cache result, or
+     * materialize the slice and Mine it (publishing to the cache). */
+    void RunJob(AnalysisJob& job);
+    /** Mine the materialized `job.slice` into job.results and
+     * job.mining_path. */
+    void Mine(AnalysisJob& job);
 
     const ApopheniaConfig* config_;
     support::Executor* executor_;
     MiningCache* mining_cache_;  ///< nullptr = always mine locally
-    /** Per-finder steady-state engine (ring + incremental miner);
-     * probed by workers ahead of the shared cache. */
-    std::unique_ptr<SteadyStateMiner> steady_;
+    /** Guards miner_ and last_mined_: workers of one finder may race
+     * under a pooled executor. */
+    std::mutex miner_mutex_;
+    /** Mines un-namespaced windows, reusing the previous window's
+     * suffix structures (strings/incremental.h). */
+    strings::IncrementalMiner miner_;
+    /** Candidate set of the miner's previous window, returned again
+     * when the miner reports a verified-identical window. */
+    std::shared_ptr<const std::vector<CandidateTrace>> last_mined_;
     HistoryRing history_;  ///< sliding window, <= batchsize tokens
     std::uint64_t sample_counter_ = 0;  ///< k of the ruler schedule
     /** Launch-order FIFO of jobs awaiting ingestion. */

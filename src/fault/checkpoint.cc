@@ -60,7 +60,6 @@ SectionName(SectionTag tag)
         case SectionTag::kRuntime: return "runtime";
         case SectionTag::kCandidateTrie: return "candidate-trie";
         case SectionTag::kHistoryRing: return "history-ring";
-        case SectionTag::kSteadyMiner: return "steady-miner";
         case SectionTag::kTraceFinder: return "trace-finder";
         case SectionTag::kApophenia: return "apophenia";
         case SectionTag::kStreamDigest: return "stream-digest";

@@ -5,9 +5,9 @@
  *
  * A checkpoint is a versioned, length-prefixed binary image of one
  * node's finder state (operation-log cursor, trace cache, candidate
- * trie, history ring, steady-state miner ring, Apophenia replay
- * cursors, stream digest). The format is deliberately dumb: a fixed
- * header, then a sequence of tagged sections, each carrying its
+ * trie, history ring, Apophenia replay cursors, stream digest). The
+ * format is deliberately dumb: a fixed header, then a sequence of
+ * tagged sections, each carrying its
  * payload length and a checksum of the payload bytes. Readers verify
  * the magic, the version, every section tag they open, and every
  * section checksum before handing a single value to the caller, so a
@@ -49,7 +49,8 @@ class CheckpointError : public std::runtime_error {
 };
 
 /** Section tags. The tag is written into the image, so renumbering is
- * a format change (bump kCheckpointVersion). */
+ * a format change (bump kCheckpointVersion). Tag 9 (the retired
+ * per-finder mining ring, version 1 only) is not reused. */
 enum class SectionTag : std::uint64_t {
     kOperationLog = 1,
     kRegionAllocator = 2,
@@ -59,7 +60,6 @@ enum class SectionTag : std::uint64_t {
     kRuntime = 6,
     kCandidateTrie = 7,
     kHistoryRing = 8,
-    kSteadyMiner = 9,
     kTraceFinder = 10,
     kApophenia = 11,
     kStreamDigest = 12,
@@ -73,7 +73,9 @@ enum class SectionTag : std::uint64_t {
 std::string_view SectionName(SectionTag tag);
 
 inline constexpr std::uint64_t kCheckpointMagic = 0x41504f434b505431ULL;
-inline constexpr std::uint64_t kCheckpointVersion = 1;
+/** Version 2: the finder section no longer carries a mining-ring
+ * flag, and no mining-ring section follows the history ring. */
+inline constexpr std::uint64_t kCheckpointVersion = 2;
 
 /**
  * Serializes state into an in-memory checkpoint image.

@@ -167,9 +167,10 @@ struct ExperimentResult {
     std::uint64_t mining_cache_misses = 0;
     std::size_t mining_cache_windows = 0;
     /** Incremental-mining tier counters over ingested jobs, summed
-     * over the finders that mined (all zero with incremental mining
-     * off): jobs served by the rolling fast path (no mining, no cache
-     * probe), by incremental structure repair, and by full rebuild. */
+     * over the finders that mined (see core::MiningPath): jobs whose
+     * window equalled the miner's previous one (the kept candidate
+     * set), jobs served by incremental structure repair, and full
+     * rebuilds. Shared-cache hits count in none of them. */
     std::uint64_t mining_fast_path_hits = 0;
     std::uint64_t mining_repairs = 0;
     std::uint64_t mining_full = 0;

@@ -26,8 +26,15 @@
  *     only the changed tail is recompressed — and SA-IS + Kasai rerun
  *     entirely inside preallocated scratch.
  *  3. **Full** (MiningTier::kFull): novel content (new symbols, or no
- *     usable prefix). Everything is recomputed, still allocation-free
- *     at the steady-state fixed point thanks to the scratch buffers.
+ *     usable prefix). Everything is recomputed into the same scratch
+ *     buffers.
+ *
+ * Allocation: only the fast path is allocation-free. On the repair
+ * and full tiers, compression, SA-IS, LCP and the candidate ranking
+ * reuse scratch whose capacity persists across windows, but the
+ * greedy selection in FindRepeatsFromSa still allocates per window —
+ * a node per selected occurrence in its support::IntervalSet, and
+ * fresh token and start vectors for every Repeat of the result.
  *
  * Bit-identity guarantee: every tier produces exactly the repeat set
  * FindRepeats would. Tier 1 only returns a result that was computed

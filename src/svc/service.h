@@ -93,7 +93,7 @@ enum class OverloadPolicy : std::uint8_t {
      * mining, no matching, no replay — core::Apophenia::SetDegraded),
      * re-enabling tracing with hysteresis once the backlog drains to
      * TenantOptions::degrade_resume_iterations. Degraded windows'
-     * tokens never enter the trie or the steady ring, so re-enable is
+     * tokens never enter the trie or the finder, so re-enable is
      * bit-safe. */
     kDegrade,
 };

@@ -126,5 +126,37 @@ TEST(Config, SignedPaddedOrOverflowingCountsRejected)
     }
 }
 
+TEST(Config, UnknownAutoTraceFlagsRejected)
+{
+    // Retired flags and typos are errors naming the flag — never
+    // handed to the application along with their values.
+    for (const auto& args :
+         {Args({"-lg:auto_trace:no_incremental_mining"}),
+          Args({"-lg:auto_trace:incremental_ring_windows", "8"}),
+          Args({"-lg:auto_trace:batchsise", "100"})}) {
+        std::vector<std::string> copy = args;
+        try {
+            ParseApopheniaFlags(copy);
+            ADD_FAILURE() << args.front() << " was accepted";
+        } catch (const std::invalid_argument& error) {
+            EXPECT_NE(std::string(error.what()).find(args.front()),
+                      std::string::npos)
+                << error.what();
+        }
+    }
+}
+
+TEST(Config, OtherArgumentsPassThrough)
+{
+    auto args = Args({"-ll:gpu", "4", "-lg:auto_trace:batchsize", "100",
+                      "-lg:enable_automatic_tracing", "-N", "2", "input",
+                      "-lg:unrelated"});
+    const ApopheniaConfig config = ParseApopheniaFlags(args);
+    EXPECT_TRUE(config.enabled);
+    EXPECT_EQ(config.batchsize, 100u);
+    EXPECT_EQ(args, Args({"-ll:gpu", "4", "-N", "2", "input",
+                          "-lg:unrelated"}));
+}
+
 }  // namespace
 }  // namespace apo::core

@@ -216,7 +216,8 @@ TEST(DecisionEngine, SteadyStateDecideLoopIsAllocationFree)
     // never repeats (distinct tokens) and the scale factor is pushed
     // past the probe length, so the decider's mining/firing machinery
     // (whose allocation behaviour is the finder's own contract, see
-    // core_incremental_test) stays out of the measurement.
+    // core_incremental_test's IdenticalWindowTierAllocatesNothing)
+    // stays out of the measurement.
     core::ApopheniaConfig config;
     config.min_trace_length = 5;
     config.batchsize = 512;

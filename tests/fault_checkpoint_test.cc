@@ -6,8 +6,9 @@
  * same candidate digest, same suffix rows — pinned across two
  * applications and both log modes (retained and streaming-retire);
  * truncated or bit-flipped images must be rejected with a typed
- * fault::CheckpointError before any state is mutated; and the shared
- * MiningCache round-trips its published windows.
+ * fault::CheckpointError before any state is mutated (the front end
+ * and the finder alike); and the shared MiningCache round-trips its
+ * published windows.
  */
 #include <gtest/gtest.h>
 
@@ -22,10 +23,12 @@
 #include "apps/cfd.h"
 #include "apps/s3d.h"
 #include "core/apophenia.h"
+#include "core/finder.h"
 #include "core/mining_cache.h"
 #include "fault/checkpoint.h"
 #include "runtime/runtime.h"
 #include "sim/cluster.h"
+#include "support/executor.h"
 
 namespace apo {
 namespace {
@@ -795,13 +798,120 @@ TEST(CheckpointDiagnostics, MessagesNameSectionTagAndOffset)
 TEST(CheckpointDiagnostics, SectionNamesCoverEveryTag)
 {
     for (std::uint64_t raw = 1; raw <= 14; ++raw) {
+        if (raw == 9) {
+            continue;  // retired with checkpoint version 1
+        }
         EXPECT_NE(
             fault::SectionName(static_cast<fault::SectionTag>(raw)),
             "unknown")
             << "tag " << raw;
     }
+    EXPECT_EQ(fault::SectionName(static_cast<fault::SectionTag>(9)),
+              "unknown");
     EXPECT_EQ(fault::SectionName(static_cast<fault::SectionTag>(99)),
               "unknown");
+}
+
+TEST(CheckpointDiagnostics, VersionOneImagesAreRejected)
+{
+    // Version 1 images carried the retired per-finder mining ring; the
+    // reader refuses them up front, naming the version.
+    std::vector<std::uint8_t> image = SampleImage();
+    const std::uint64_t version = 1;
+    std::memcpy(image.data() + 8, &version, 8);
+    ExpectErrorMentions([&] { fault::CheckpointReader reader(image); },
+                        {"unsupported checkpoint version 1"});
+}
+
+// ---------------------------------------------------------------------------
+// TraceFinder restore is atomic: a rejected image leaves it fresh.
+
+/** A finder fed a noisy periodic stream, with completed jobs still
+ * awaiting ingestion. */
+void FeedFinder(core::TraceFinder& finder, std::uint64_t from,
+                std::uint64_t to)
+{
+    for (std::uint64_t i = from; i < to; ++i) {
+        finder.Observe(i % 37 == 0 ? 1000 + i : i % 12, i + 1);
+        // Ingest all but the last few jobs, so some stay in flight.
+        while (finder.PendingJobCount() > 3) {
+            finder.WaitOldestJob();
+            finder.ReleaseOldestJob();
+        }
+    }
+}
+
+std::vector<std::uint8_t> FinderImage(const core::TraceFinder& finder)
+{
+    fault::CheckpointWriter writer;
+    finder.SaveState(writer);
+    return writer.TakeImage();
+}
+
+TEST(FinderCheckpoint, RejectedImageLeavesFinderFreshForRetry)
+{
+    const core::ApopheniaConfig config = SmallConfig();
+    support::InlineExecutor executor;
+    core::TraceFinder original(config, executor);
+    FeedFinder(original, 0, 1500);
+    ASSERT_GT(original.PendingJobCount(), 0u);
+    const std::vector<std::uint8_t> image = FinderImage(original);
+
+    // The finder's own section comes first, then the history ring's:
+    // cuts and flips in either must leave the target untouched.
+    std::vector<std::vector<std::uint8_t>> bad;
+    for (const std::size_t keep :
+         {std::size_t{20}, image.size() / 3, image.size() / 2,
+          image.size() - 9, image.size() - 1}) {
+        bad.emplace_back(image.begin(),
+                         image.begin() + static_cast<std::ptrdiff_t>(keep));
+    }
+    for (const std::size_t at :
+         {std::size_t{44}, image.size() / 3, image.size() / 2,
+          image.size() - 9}) {
+        bad.push_back(image);
+        bad.back()[at] ^= 0x10;
+    }
+    core::TraceFinder target(config, executor);
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+        SCOPED_TRACE("bad image " + std::to_string(i));
+        EXPECT_THROW(
+            {
+                fault::CheckpointReader reader(bad[i]);
+                target.LoadState(reader);
+            },
+            fault::CheckpointError);
+        EXPECT_EQ(target.Stats().tokens_observed, 0u);
+        EXPECT_EQ(target.Stats().jobs_launched, 0u);
+        EXPECT_EQ(target.PendingJobCount(), 0u);
+    }
+
+    // The same finder then takes the valid image bit-identically...
+    fault::CheckpointReader reader(image);
+    target.LoadState(reader);
+    EXPECT_TRUE(reader.AtEnd());
+    EXPECT_EQ(FinderImage(target), image);
+
+    // ...and mines the rest of the stream exactly as the original.
+    FeedFinder(original, 1500, 3000);
+    FeedFinder(target, 1500, 3000);
+    ASSERT_EQ(target.PendingJobCount(), original.PendingJobCount());
+    while (original.PendingJobCount() > 0) {
+        const core::AnalysisJob& want = original.WaitOldestJob();
+        const core::AnalysisJob& got = target.WaitOldestJob();
+        EXPECT_EQ(got.id, want.id);
+        EXPECT_EQ(got.slice_length, want.slice_length);
+        ASSERT_EQ(got.Results().size(), want.Results().size());
+        for (std::size_t c = 0; c < want.Results().size(); ++c) {
+            EXPECT_EQ(got.Results()[c].tokens, want.Results()[c].tokens);
+            EXPECT_EQ(got.Results()[c].occurrences,
+                      want.Results()[c].occurrences);
+        }
+        original.ReleaseOldestJob();
+        target.ReleaseOldestJob();
+    }
+    EXPECT_EQ(target.Stats().candidates_produced,
+              original.Stats().candidates_produced);
 }
 
 }  // namespace

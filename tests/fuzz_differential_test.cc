@@ -26,6 +26,7 @@
 
 #include "core/apophenia.h"
 #include "fault/checkpoint.h"
+#include "mining_oracle.h"
 #include "runtime/graph.h"
 #include "runtime/runtime.h"
 #include "sim/cluster.h"
@@ -297,13 +298,12 @@ TEST(DifferentialFuzzPooled, OnCompletionIngestionIsStillSafe)
     }
 }
 
-TEST_P(DifferentialFuzz, IncrementalMiningOnVsOffIsBitIdentical)
+TEST_P(DifferentialFuzz, EveryMiningJobEqualsMineSlice)
 {
-    // The steady-state mining engine's contract over the whole fuzz
-    // corpus: with the incremental tiers on (fast path, rank-splice
-    // repair, scratch-reusing rebuild) or off (classic from-scratch
-    // MineSlice per window), every replay decision — mode, trace id,
-    // stream position — and the dependence graph are byte-identical.
+    // The finder's mining contract over the whole fuzz corpus: every
+    // job's candidate set — whichever tier of the incremental miner,
+    // the shared cache or a namespaced tenant's canonical mining
+    // served it — equals from-scratch MineSlice over the job's window.
     const FuzzCase fuzz = GetParam();
     core::ApopheniaConfig config;
     config.min_trace_length = fuzz.min_trace_length;
@@ -312,37 +312,27 @@ TEST_P(DifferentialFuzz, IncrementalMiningOnVsOffIsBitIdentical)
     config.multi_scale_factor =
         std::max<std::size_t>(fuzz.batchsize / 16, 8);
 
-    config.incremental_mining = true;
-    rt::Runtime on_rt;
-    core::Apophenia on_fe(on_rt, config);
-    RandomProgram(fuzz.seed).Run(on_fe);
-    on_fe.Flush();
-
-    config.incremental_mining = false;
-    rt::Runtime off_rt;
-    core::Apophenia off_fe(off_rt, config);
-    RandomProgram(fuzz.seed).Run(off_fe);
-    off_fe.Flush();
-
-    ASSERT_EQ(on_rt.Log().size(), off_rt.Log().size());
-    for (std::size_t i = 0; i < on_rt.Log().size(); ++i) {
-        ASSERT_EQ(on_rt.Log()[i].token, off_rt.Log()[i].token)
-            << "stream diverged at op " << i << " (seed " << fuzz.seed
-            << ")";
-        ASSERT_EQ(on_rt.Log()[i].mode, off_rt.Log()[i].mode)
-            << "analysis mode diverged at op " << i << " (seed "
-            << fuzz.seed << ")";
-        ASSERT_EQ(on_rt.Log()[i].trace, off_rt.Log()[i].trace)
-            << "trace decision diverged at op " << i << " (seed "
-            << fuzz.seed << ")";
-        ASSERT_EQ(on_rt.Log()[i].dependences,
-                  off_rt.Log()[i].dependences)
-            << "graph diverged at op " << i << " (seed " << fuzz.seed
-            << ")";
+    rt::Runtime bare_rt;
+    BareTarget bare(bare_rt);
+    RandomProgram(fuzz.seed).Run(bare);
+    std::vector<rt::TokenHash> stream;
+    for (std::size_t i = 0; i < bare_rt.Log().size(); ++i) {
+        stream.push_back(bare_rt.Log()[i].token);
     }
-    EXPECT_EQ(on_fe.Stats().traces_fired, off_fe.Stats().traces_fired);
-    EXPECT_EQ(on_fe.Stats().jobs_ingested,
-              off_fe.Stats().jobs_ingested);
+
+    const std::size_t anchor_every = 4 * config.batchsize + 1;
+    const test::OracleTally plain = test::ExpectEveryJobMatchesMineSlice(
+        stream, config, test::OracleSetup::kPlain, anchor_every);
+    const test::OracleTally namespaced =
+        test::ExpectEveryJobMatchesMineSlice(
+            stream, config, test::OracleSetup::kNamespaced, anchor_every);
+    const test::OracleTally shared = test::ExpectEveryJobMatchesMineSlice(
+        stream, config, test::OracleSetup::kSharedCache, anchor_every);
+    ASSERT_GT(plain.jobs, 0u);
+    EXPECT_EQ(plain.fast_path + plain.repair + plain.full, plain.jobs);
+    EXPECT_EQ(namespaced.full, plain.jobs);
+    EXPECT_EQ(shared.jobs, 2 * plain.jobs);
+    EXPECT_GE(shared.cache_hits, plain.jobs);
 }
 
 TEST_P(DifferentialFuzz, WindowedReductionMatchesRetained)
